@@ -464,7 +464,8 @@ inline void
 resolveSkewedBanks(SatCounterArray::View (&banks)[NumBanks],
                    const u32 *const (&idx)[NumBanks], const u8 *taken,
                    std::size_t n, bool partial, bool lazy,
-                   bool prefetch_counters, ReplayCounters &counters,
+                   [[maybe_unused]] bool prefetch_counters,
+                   ReplayCounters &counters,
                    u64 &bank_write_count,
                    [[maybe_unused]] RecomputeIndex &&recompute)
 {

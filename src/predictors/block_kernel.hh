@@ -41,13 +41,15 @@ namespace bpred
 /**
  * Replay @p count records through @p state (a predictor's
  * BlockState, constructed fresh for this block), committing the
- * state back and adding the block's tallies to @p counters.
+ * state back and adding the block's tallies to @p counters — and
+ * writing counters.mispredicted, when set.
  */
 template <typename BlockState>
 void
 replayBlockWithState(BlockState state, const BranchRecord *records,
                      std::size_t count, ReplayCounters &counters)
 {
+    u8 *const mask = counters.mispredicted;
     u64 conditionals = 0;
     u64 mispredicts = 0;
     for (std::size_t i = 0; i < count; ++i) {
@@ -56,12 +58,17 @@ replayBlockWithState(BlockState state, const BranchRecord *records,
             state.unconditional(record.pc);
             continue;
         }
-        const bool prediction = state.step(record.pc, record.taken);
-        ++conditionals;
         // Arithmetic, not a branch: whether a prediction was right
         // is data, and maximally unpredictable data for exactly the
-        // records that make a predictor study interesting.
-        mispredicts += u64(prediction != record.taken);
+        // records that make a predictor study interesting. The mask
+        // test is loop-invariant, so it predicts perfectly.
+        const bool wrong = state.step(record.pc, record.taken) !=
+            record.taken;
+        if (mask) {
+            mask[conditionals] = u8(wrong);
+        }
+        ++conditionals;
+        mispredicts += u64(wrong);
     }
     state.commit();
     counters.conditionals += conditionals;

@@ -536,22 +536,19 @@ resolveArithSpan(u8 *values, const u32 *idx, const u8 *taken,
 template <typename RecomputeIndex>
 inline void
 resolveSingleTable(SatCounterArray::View table, const u32 *idx,
-                   const u8 *taken, std::size_t n, bool prefetch_counters,
+                   const u8 *taken, std::size_t n,
+                   [[maybe_unused]] bool prefetch_counters,
                    ReplayCounters &counters,
                    [[maybe_unused]] RecomputeIndex &&recompute)
 {
     BP_DCHECK(table.stride == 1,
               "resolveSingleTable: strided view (use the bank "
               "resolver)");
-    u8 *values = table.values;
-    const u8 max = table.max;
-    const u8 threshold = table.threshold;
-    u64 mispredicts = 0;
-
 #ifdef BPRED_CHECKED
     // Checked builds keep the straight-line loop: per-record index
     // verification dominates anyway, and the repair path stays
     // readable.
+    u64 mispredicts = 0;
     for (std::size_t j = 0; j < n; ++j) {
         u64 index = idx[j];
         const u64 expected = recompute(j);
@@ -575,6 +572,9 @@ resolveSingleTable(SatCounterArray::View table, const u32 *idx,
     // are free functions (detail::resolveLutSpan /
     // resolveArithSpan), not capturing lambdas: measured ~10%
     // faster, the compiler keeps every hot value in registers.
+    u8 *values = table.values;
+    const u8 max = table.max;
+    const u8 threshold = table.threshold;
     u64 m0 = 0;
     u64 m1 = 0;
     if (max <= 7) {

@@ -39,6 +39,7 @@ Predictor::replayBlock(const BranchRecord *records, std::size_t count,
     // Scalar reference path: one virtual fused step per branch.
     // Overrides delegate here while a probe is attached, so this
     // loop defines the observable behaviour of every block replay.
+    u8 *const mask = counters.mispredicted;
     u64 conditionals = 0;
     u64 mispredicts = 0;
     for (std::size_t i = 0; i < count; ++i) {
@@ -47,12 +48,14 @@ Predictor::replayBlock(const BranchRecord *records, std::size_t count,
             notifyUnconditional(record.pc);
             continue;
         }
-        const bool prediction =
-            predictAndUpdate(record.pc, record.taken).prediction;
-        ++conditionals;
-        if (prediction != record.taken) {
-            ++mispredicts;
+        const bool wrong =
+            predictAndUpdate(record.pc, record.taken).prediction !=
+            record.taken;
+        if (mask) {
+            mask[conditionals] = u8(wrong);
         }
+        ++conditionals;
+        mispredicts += u64(wrong);
     }
     counters.conditionals += conditionals;
     counters.mispredicts += mispredicts;

@@ -26,9 +26,8 @@ struct Outcome
 };
 
 /**
- * Tallies accumulated by replayBlock(): everything the simulation
- * loop needs per block when no per-branch attribution (top sites,
- * probes) was requested.
+ * Tallies accumulated by replayBlock(), plus an optional
+ * per-conditional mispredict mask for per-site attribution.
  */
 struct ReplayCounters
 {
@@ -37,6 +36,16 @@ struct ReplayCounters
 
     /** Mispredicted conditional branches among them. */
     u64 mispredicts = 0;
+
+    /**
+     * When non-null, replayBlock() stores 1 (mispredicted) or 0 at
+     * index j for the j-th conditional branch of the call, so it
+     * must hold one byte per conditional record. Only the reference
+     * kernels write it — the scalar Predictor::replayBlock() default
+     * and replayBlockWithState() — so callers wanting the mask pass
+     * a null ReplayScratch.
+     */
+    u8 *mispredicted = nullptr;
 };
 
 /**
@@ -105,7 +114,7 @@ class Predictor
      * precompute the block's table indices with the vectorized
      * index pass and resolve fed by them — still byte-identical to
      * the fused path. A null scratch always runs the fused/scalar
-     * reference kernels.
+     * reference kernels, which also fill counters.mispredicted.
      */
     virtual void replayBlock(const BranchRecord *records,
                              std::size_t count,

@@ -1,18 +1,15 @@
 #include "sim/corpus.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "sim/factory.hh"
 #include "sim/gang.hh"
 #include "support/aligned.hh"
 #include "support/logging.hh"
-#include "support/probe.hh"
+#include "support/site_table.hh"
 #include "support/tracing.hh"
 #include "trace/adapters.hh"
 #include "trace/mmap_source.hh"
@@ -23,15 +20,6 @@ namespace bpred
 namespace
 {
 
-std::string
-formatPc(Addr pc)
-{
-    char buffer[24];
-    std::snprintf(buffer, sizeof(buffer), "0x%llx",
-                  static_cast<unsigned long long>(pc));
-    return buffer;
-}
-
 bool
 endsWith(const std::string &text, const std::string &suffix)
 {
@@ -41,88 +29,51 @@ endsWith(const std::string &text, const std::string &suffix)
 }
 
 /**
- * Exact per-site outcome counts from the reference member — the
- * probe half of the "reuse top-K/probe machinery" contract (the
- * top-K half is the reference member's SimResult::topSites).
+ * Classify @p cell by the documented ratio rules, counting it into
+ * @p classes.
  */
-class SiteProbe : public ProbeSink
-{
-  public:
-    struct Cell
-    {
-        u64 branches = 0;
-        u64 mispredicts = 0;
-    };
-
-    void
-    onResolved(const ResolvedEvent &event) override
-    {
-        Cell &cell = sites[event.pc];
-        ++cell.branches;
-        if (event.predicted != event.taken) {
-            ++cell.mispredicts;
-        }
-    }
-
-    std::unordered_map<Addr, Cell> sites;
-};
-
 Predictability
-classifySite(const SiteProbe::Cell &cell, const CorpusOptions &opt)
+classifySite(const SiteTally &cell, const CorpusOptions &opt,
+             CorpusClassification &classes)
 {
+    classes.totalMispredicts += cell.mispredicts;
     if (cell.branches < opt.classifyMinBranches) {
+        ++classes.coldSites;
         return Predictability::Cold;
     }
     const double ratio = static_cast<double>(cell.mispredicts) /
         static_cast<double>(cell.branches);
     if (ratio <= opt.easyThreshold) {
+        ++classes.easySites;
         return Predictability::Easy;
     }
     if (ratio > opt.hardThreshold) {
+        ++classes.hardSites;
+        classes.hardMispredicts += cell.mispredicts;
         return Predictability::Hard;
     }
+    ++classes.mediumSites;
     return Predictability::Medium;
 }
 
 CorpusClassification
-classify(const SiteProbe &probe, const CorpusOptions &opt)
+classify(const SiteTallies &tallies, const CorpusOptions &opt)
 {
     CorpusClassification classes;
     std::vector<SitePredictability> all;
-    // bp_lint: allow(reserve-untrusted): sized by the probe's own
-    // in-memory site map, not by any decoded field.
-    all.reserve(probe.sites.size());
-    for (const auto &[pc, cell] : probe.sites) {
-        SitePredictability site;
-        site.pc = pc;
-        site.branches = cell.branches;
-        site.mispredicts = cell.mispredicts;
-        site.klass = classifySite(cell, opt);
-        classes.totalMispredicts += cell.mispredicts;
-        switch (site.klass) {
-          case Predictability::Easy:
-            ++classes.easySites;
-            break;
-          case Predictability::Medium:
-            ++classes.mediumSites;
-            break;
-          case Predictability::Hard:
-            ++classes.hardSites;
-            classes.hardMispredicts += cell.mispredicts;
-            break;
-          case Predictability::Cold:
-            ++classes.coldSites;
-            break;
-        }
-        all.push_back(site);
-    }
+    // bp_lint: allow(reserve-untrusted): sized by the in-memory site
+    // table, not by any decoded field.
+    all.reserve(tallies.size());
+    tallies.forEach([&](Addr pc, const SiteTally &cell) {
+        all.push_back({pc, cell.branches, cell.mispredicts,
+                       classifySite(cell, opt, classes)});
+    });
     std::sort(all.begin(), all.end(),
               [](const SitePredictability &a,
                  const SitePredictability &b) {
-                  if (a.mispredicts != b.mispredicts) {
-                      return a.mispredicts > b.mispredicts;
-                  }
-                  return a.pc < b.pc;
+                  return a.mispredicts != b.mispredicts
+                      ? a.mispredicts > b.mispredicts
+                      : a.pc < b.pc;
               });
     if (all.size() > opt.topSites) {
         // bp_lint: allow(reserve-untrusted): shrinking to the
@@ -168,41 +119,30 @@ runFile(const std::string &path, const std::string &file_name,
         }
 
         GangSession gang(opt.blockRecords);
-        SiteProbe probe;
+        SiteTallies tallies;
         for (std::size_t i = 0; i < predictors.size(); ++i) {
             SimOptions member = opt.sim;
             // A shared registry would race across pool jobs.
             member.metrics = nullptr;
             if (i == 0 && opt.topSites > 0) {
-                member.probe = &probe;
+                member.siteTallies = &tallies;
                 member.topSites = opt.topSites;
             }
             gang.add(*predictors[i], member, result.traceName);
         }
 
-        std::unordered_set<Addr> conditional_sites;
-        std::unordered_set<Addr> unconditional_sites;
+        TraceStatsAccumulator stats;
         AlignedVector<BranchRecord> buffer(gang.blockRecords());
         while (const std::size_t n =
                    source->pull(buffer.data(), buffer.size())) {
-            for (std::size_t i = 0; i < n; ++i) {
-                const BranchRecord &record = buffer[i];
-                if (record.conditional) {
-                    ++result.stats.dynamicConditional;
-                    result.stats.takenConditional +=
-                        record.taken ? 1 : 0;
-                    conditional_sites.insert(record.pc);
-                } else {
-                    ++result.stats.dynamicUnconditional;
-                    unconditional_sites.insert(record.pc);
-                }
+            {
+                TRACE_SCOPE("corpus", "record-stats", result.records, n);
+                stats.add(buffer.data(), n);
             }
             result.records += n;
             gang.feed(buffer.data(), n);
         }
-        result.stats.staticConditional = conditional_sites.size();
-        result.stats.staticUnconditional =
-            unconditional_sites.size();
+        result.stats = stats.stats();
 
         result.results = gang.finish();
         for (std::size_t i = 0; i < opt.specs.size(); ++i) {
@@ -217,7 +157,7 @@ runFile(const std::string &path, const std::string &file_name,
         }
 
         if (opt.topSites > 0) {
-            result.classes = classify(probe, opt);
+            result.classes = classify(tallies, opt);
         }
     } catch (const std::exception &e) {
         result = CorpusFileResult();

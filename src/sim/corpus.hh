@@ -16,8 +16,8 @@
  * Determinism contract: the report (stdout tables and JSON) is
  * byte-identical for any thread count. Files are processed in
  * sorted-name order, results keep submission order (parallelMap),
- * replay is the gang contract, and the classification probe counts
- * exactly. Timings therefore never appear in the report.
+ * replay is the gang contract, and the classification's site
+ * tallies count exactly. Timings therefore never appear in the report.
  */
 
 #pragma once
@@ -37,8 +37,8 @@ struct CorpusOptions
     /**
      * Predictor specs replayed over every trace (factory syntax,
      * see sim/factory.hh). The first spec is the *reference*: its
-     * member carries the classification probe and top-K site
-     * attribution.
+     * member carries the classification's exact site tallies and
+     * top-K site attribution.
      */
     std::vector<std::string> specs;
 
@@ -108,7 +108,7 @@ struct CorpusClassification
     /** Mispredictions attributed to hard sites. */
     u64 hardMispredicts = 0;
 
-    /** All scored mispredictions (denominator for the share). */
+    /** All mispredictions, warmup included (share denominator). */
     u64 totalMispredicts = 0;
 
     /** Hardest sites, by mispredicts desc then pc asc. */

@@ -7,9 +7,6 @@
 namespace bpred
 {
 
-namespace
-{
-
 std::string
 formatPc(Addr pc)
 {
@@ -18,8 +15,6 @@ formatPc(Addr pc)
                   static_cast<unsigned long long>(pc));
     return buffer;
 }
-
-} // namespace
 
 JsonValue
 SimResult::toJson() const

@@ -11,6 +11,7 @@
 #include "predictors/predictor.hh"
 #include "support/json.hh"
 #include "support/simd.hh"
+#include "support/site_table.hh"
 #include "trace/trace.hh"
 
 namespace bpred
@@ -77,9 +78,17 @@ struct SimOptions
 
     /**
      * Attribute mispredictions to branch sites, keeping the top N
-     * sites in a bounded counter. 0 disables.
+     * sites in a bounded counter. 0 disables. The block path reads
+     * the reference kernels' mispredict mask (see simd).
      */
     std::size_t topSites = 0;
+
+    /**
+     * Caller-owned exact per-site counts of every resolved
+     * conditional, warmup included, from the same mask. Null
+     * disables.
+     */
+    SiteTallies *siteTallies = nullptr;
 
     /**
      * Telemetry sink attached to the predictor for the duration of
@@ -102,7 +111,9 @@ struct SimOptions
      * variable and then the CPU probe; Avx2 requests the phase-split
      * vector kernels; Scalar pins the fused block kernel — the
      * reference the vector path is byte-identical to. Ignored by the
-     * scalar per-branch loop (scalarReplay / topSites / probes).
+     * scalar per-branch loop (scalarReplay), by probed predictors,
+     * and by attributing sessions (topSites / siteTallies), which
+     * always run the reference kernels.
      */
     SimdMode simd = SimdMode::Auto;
 
@@ -181,6 +192,9 @@ SimResult simulateWithOptions(Predictor &predictor, const Trace &trace,
 
 /** simulateWithOptions() with default options. */
 SimResult simulate(Predictor &predictor, const Trace &trace);
+
+/** @p pc as reports print it: "0x" plus lowercase hex. */
+std::string formatPc(Addr pc);
 
 } // namespace bpred
 

@@ -14,9 +14,15 @@
 namespace bpred
 {
 
+/** Records per attribution segment: one mask byte each. */
+constexpr std::size_t maskRecords = 8192;
+
 SimSession::SimSession(Predictor &predictor, const SimOptions &options,
                        std::string trace_name)
     : predictor(predictor), options(options),
+      mispredicted(options.topSites > 0 || options.siteTallies
+                       ? maskRecords
+                       : 0),
       sites(options.topSites > 0 ? options.topSites : 1)
 {
     result.predictorName = predictor.name();
@@ -59,12 +65,8 @@ SimSession::feed(const BranchRecord *records, std::size_t count)
     TRACE_SCOPE("session", "feed", seen, count);
     const u64 feedStart =
         options.metrics ? trace::nowNs() : 0;
-    // Top-site attribution needs the PC of every misprediction, so
-    // it keeps the per-branch loop (as does an explicit
-    // scalarReplay request). Everything else — including probed
-    // runs, whose overrides delegate to the scalar kernel
-    // internally — replays through the per-block batch kernel.
-    if (options.topSites > 0 || options.scalarReplay) {
+    // Only an explicit scalarReplay request takes the per-branch loop.
+    if (options.scalarReplay) {
         feedScalar(records, count);
     } else {
         feedBlocks(records, count);
@@ -90,6 +92,11 @@ SimSession::feedBlocks(const BranchRecord *records, std::size_t count)
     // members whose SimOptions::simd may differ.
     scratch->mode = options.simd;
 
+    // Only the reference kernels (null scratch) emit the mispredict
+    // mask; attributing segments are capped at the mask's size.
+    const bool attributing = !mispredicted.empty();
+    ReplayScratch *const kernel_scratch = attributing ? nullptr : scratch;
+
     std::size_t at = 0;
     while (at < count) {
         // The next segment may consume at most `limit` conditional
@@ -112,17 +119,24 @@ SimSession::feedBlocks(const BranchRecord *records, std::size_t count)
         // or the chunk end. Trailing unconditionals fall into the
         // next segment, matching the scalar loop's ordering of
         // boundary actions before their notifyUnconditional().
-        std::size_t end = count;
+        const std::size_t stop = attributing
+            ? std::min(count, at + mispredicted.size())
+            : count;
+        std::size_t end = stop;
         if (limit != unbounded) {
             u64 conditionals = 0;
-            for (end = at; end < count && conditionals < limit;
-                 ++end) {
+            for (end = at; end < stop && conditionals < limit; ++end) {
                 conditionals += records[end].conditional ? 1 : 0;
             }
         }
 
         ReplayCounters tally;
-        predictor.replayBlock(records + at, end - at, tally, scratch);
+        tally.mispredicted = attributing ? mispredicted.data() : nullptr;
+        predictor.replayBlock(records + at, end - at, tally,
+                              kernel_scratch);
+        if (attributing) {
+            attributeSegment(records + at, end - at, !in_warmup);
+        }
         at = end;
 
         seen += tally.conditionals;
@@ -154,6 +168,29 @@ SimSession::feedBlocks(const BranchRecord *records, std::size_t count)
 }
 
 void
+SimSession::attributeSegment(const BranchRecord *records,
+                             std::size_t count, bool scored)
+{
+    TRACE_SCOPE("session", "site-attribution", seen, count);
+    SiteTallies *const tallies = options.siteTallies;
+    const bool track_sites = scored && options.topSites > 0;
+    const u8 *wrong = mispredicted.data();
+    for (std::size_t i = 0; i < count; ++i) {
+        const BranchRecord &record = records[i];
+        if (!record.conditional) {
+            continue;
+        }
+        const bool miss = *wrong++ != 0;
+        if (tallies) {
+            (*tallies)[record.pc].add(miss);
+        }
+        if (track_sites && miss) {
+            sites.add(record.pc);
+        }
+    }
+}
+
+void
 SimSession::feedScalar(const BranchRecord *records, std::size_t count)
 {
     // Hot counters live in locals for the duration of the chunk;
@@ -178,8 +215,12 @@ SimSession::feedScalar(const BranchRecord *records, std::size_t count)
         // Fused fast path: one virtual dispatch and one index
         // computation per branch (contract-equivalent to
         // predict() + update(); test_predictor_contract guards it).
-        const bool prediction =
-            pred.predictAndUpdate(record.pc, record.taken).prediction;
+        const bool wrong =
+            pred.predictAndUpdate(record.pc, record.taken).prediction !=
+            record.taken;
+        if (options.siteTallies) {
+            (*options.siteTallies)[record.pc].add(wrong);
+        }
         ++seen_local;
         if (flush_interval && ++since_flush == flush_interval) {
             TRACE_INSTANT("session", "flush");
@@ -193,7 +234,6 @@ SimSession::feedScalar(const BranchRecord *records, std::size_t count)
             continue;
         }
         ++conditionals;
-        const bool wrong = prediction != record.taken;
         if (wrong) {
             ++mispredicts;
             if (track_sites) {

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "predictors/predictor.hh"
 #include "predictors/replay_scratch.hh"
@@ -64,11 +65,13 @@ class SimSession
      * trace into feed() calls yields the same SimResult.
      *
      * Internally the chunk is resolved through the predictor's
-     * replayBlock() batch kernel — split at warmup, flush and
-     * window boundaries so per-segment tallies suffice — unless
-     * per-branch attribution (top sites) forces the scalar loop.
-     * The two paths are contract-equivalent (test_session /
-     * test_predictor_contract).
+     * replayBlock() batch kernel, split at warmup, flush and window
+     * boundaries so per-segment tallies suffice. Per-site
+     * attribution (topSites, siteTallies) reads the reference
+     * kernels' per-conditional mispredict mask in a post-pass over
+     * each segment. Only SimOptions::scalarReplay selects the
+     * per-branch loop; the two paths are contract-equivalent
+     * (test_session / test_predictor_contract).
      *
      * @throws FatalError when called after finish().
      */
@@ -116,11 +119,16 @@ class SimSession
     void useSharedScratch(ReplayScratch *shared);
 
   private:
-    /** The per-branch loop: needed for top-site attribution. */
+    /** The per-branch loop (SimOptions::scalarReplay). */
     void feedScalar(const BranchRecord *records, std::size_t count);
 
     /** The replayBlock() path, segmented at bookkeeping boundaries. */
     void feedBlocks(const BranchRecord *records, std::size_t count);
+
+    /** Fold a segment's mispredict mask into the site tallies and,
+     * when @p scored, the top-site counter. */
+    void attributeSegment(const BranchRecord *records,
+                          std::size_t count, bool scored);
 
     Predictor &predictor;
     SimOptions options;
@@ -132,6 +140,9 @@ class SimSession
     /** The scratch feedBlocks() passes down: ownScratch unless a
      * gang installed a shared one via useSharedScratch(). */
     ReplayScratch *scratch = &ownScratch;
+
+    /** The segment's mispredict mask; empty unless attributing. */
+    std::vector<u8> mispredicted;
 
     SimResult result;
     TopKCounter sites;

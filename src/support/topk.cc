@@ -12,7 +12,9 @@ TopKCounter::TopKCounter(std::size_t capacity) : capacity_(capacity)
     if (capacity == 0) {
         fatal("TopKCounter: capacity must be positive");
     }
-    slots.reserve(capacity);
+    // Eager for the usual handful of slots; a huge capacity grows
+    // on demand instead of costing its full table up front.
+    slots.reserve(std::min<std::size_t>(capacity, 1024));
 }
 
 void

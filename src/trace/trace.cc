@@ -1,7 +1,5 @@
 #include "trace/trace.hh"
 
-#include <unordered_set>
-
 namespace bpred
 {
 
@@ -23,27 +21,40 @@ TraceStats::dynamicPerStatic() const
             static_cast<double>(staticConditional);
 }
 
+void
+TraceStatsAccumulator::add(const BranchRecord *records,
+                           std::size_t count)
+{
+    u64 conditionals = 0;
+    u64 taken = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+        const BranchRecord &record = records[i];
+        sites[record.pc] |= record.conditional ? 1 : 2;
+        conditionals += record.conditional ? 1 : 0;
+        taken += record.conditional && record.taken ? 1 : 0;
+    }
+    dynamic.dynamicConditional += conditionals;
+    dynamic.dynamicUnconditional += count - conditionals;
+    dynamic.takenConditional += taken;
+}
+
+TraceStats
+TraceStatsAccumulator::stats() const
+{
+    TraceStats stats = dynamic;
+    sites.forEach([&](Addr, u8 kinds) {
+        stats.staticConditional += kinds & 1;
+        stats.staticUnconditional += kinds >> 1;
+    });
+    return stats;
+}
+
 TraceStats
 computeTraceStats(const Trace &trace)
 {
-    TraceStats stats;
-    std::unordered_set<Addr> cond_sites;
-    std::unordered_set<Addr> uncond_sites;
-    for (const BranchRecord &record : trace) {
-        if (record.conditional) {
-            ++stats.dynamicConditional;
-            if (record.taken) {
-                ++stats.takenConditional;
-            }
-            cond_sites.insert(record.pc);
-        } else {
-            ++stats.dynamicUnconditional;
-            uncond_sites.insert(record.pc);
-        }
-    }
-    stats.staticConditional = cond_sites.size();
-    stats.staticUnconditional = uncond_sites.size();
-    return stats;
+    TraceStatsAccumulator stats;
+    stats.add(trace.records().data(), trace.size());
+    return stats.stats();
 }
 
 } // namespace bpred

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "support/site_table.hh"
 #include "support/types.hh"
 #include "trace/branch_record.hh"
 
@@ -130,6 +131,27 @@ struct TraceStats
 
     /** Dynamic conditionals per static conditional site. */
     double dynamicPerStatic() const;
+};
+
+/**
+ * Incremental TraceStats over a record stream: add() chunks in
+ * trace order (any partition gives the same result), then read
+ * stats(). Static sites cost one flat-table lookup per record.
+ */
+class TraceStatsAccumulator
+{
+  public:
+    /** Count @p count more records. */
+    void add(const BranchRecord *records, std::size_t count);
+
+    /** The statistics of every record added so far. */
+    TraceStats stats() const;
+
+  private:
+    TraceStats dynamic;
+
+    /** Bit 0: seen as a conditional branch; bit 1: unconditional. */
+    SiteTable<u8> sites;
 };
 
 /** Compute summary statistics for @p trace. */

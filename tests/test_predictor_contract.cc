@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "predictors/predictor.hh"
@@ -376,6 +378,78 @@ TEST(ReplayBlockContract, SessionBlockPathMatchesScalarAtBoundaries)
             EXPECT_EQ(a.windows[i].branches, b.windows[i].branches);
             EXPECT_EQ(a.windows[i].mispredicts,
                       b.windows[i].mispredicts);
+        }
+    }
+}
+
+/** Every site's exact {branches, mispredicts}, ordered by PC. */
+std::map<Addr, std::pair<u64, u64>>
+sortedTallies(const SiteTallies &tallies)
+{
+    std::map<Addr, std::pair<u64, u64>> sorted;
+    tallies.forEach([&](Addr pc, const SiteTally &tally) {
+        sorted[pc] = {tally.branches, tally.mispredicts};
+    });
+    return sorted;
+}
+
+TEST(ReplayBlockContract, SessionAttributionMatchesScalarAtBoundaries)
+{
+    // Per-site attribution on the block path: the reference
+    // kernels' mispredict mask must reproduce the scalar loop's top
+    // sites (overcounts included: the space-saving counter sees the
+    // same adds in the same order) and its exact site tallies, for
+    // every scheme, under both dispatch modes, with and without a
+    // probe, and with warmup / flush / window intervals that
+    // straddle blocks and mask segments.
+    const Trace trace = contractTrace(16);
+    u64 trace_conditionals = 0;
+    for (const BranchRecord &record : trace) {
+        trace_conditionals += record.conditional ? 1 : 0;
+    }
+    SimOptions base;
+    base.warmupBranches = 1234;
+    base.flushInterval = 3456;
+    base.windowSize = 789;
+    base.topSites = 8;
+    const SimdMode modes[] = {SimdMode::Scalar, SimdMode::Avx2};
+    for (const SchemeInfo &scheme : listSchemes()) {
+        for (const SimdMode mode : modes) {
+            for (const bool probed : {false, true}) {
+                SCOPED_TRACE(std::string(scheme.example) + " mode=" +
+                             std::string(simdModeName(mode)) +
+                             (probed ? " probed" : ""));
+                auto blockSide = makePredictor(scheme.example);
+                auto scalarSide = makePredictor(scheme.example);
+                CountingProbe blockProbe;
+                CountingProbe scalarProbe;
+                SiteTallies blockTallies;
+                SiteTallies scalarTallies;
+                SimOptions blockOptions = base;
+                blockOptions.simd = mode;
+                blockOptions.siteTallies = &blockTallies;
+                blockOptions.probe = probed ? &blockProbe : nullptr;
+                SimOptions scalarOptions = blockOptions;
+                scalarOptions.scalarReplay = true;
+                scalarOptions.siteTallies = &scalarTallies;
+                scalarOptions.probe = probed ? &scalarProbe : nullptr;
+                const SimResult a =
+                    simulateWithOptions(*blockSide, trace, blockOptions);
+                const SimResult b = simulateWithOptions(
+                    *scalarSide, trace, scalarOptions);
+                EXPECT_FALSE(b.topSites.empty());
+                EXPECT_EQ(a.toJson().dump(2), b.toJson().dump(2));
+                const auto tallies = sortedTallies(blockTallies);
+                EXPECT_EQ(tallies, sortedTallies(scalarTallies));
+                // The tallies cover warmup branches too.
+                u64 branches = 0;
+                for (const auto &[pc, counts] : tallies) {
+                    branches += counts.first;
+                }
+                EXPECT_EQ(branches, trace_conditionals);
+                EXPECT_EQ(blockProbe.registry().toJson().dump(2),
+                          scalarProbe.registry().toJson().dump(2));
+            }
         }
     }
 }

@@ -12,6 +12,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "predictors/gshare.hh"
@@ -491,6 +492,61 @@ TEST(GangSession, MatchesIndependentSessionsBitForBit)
                       got[i].topSites[s].mispredicts);
         }
     }
+}
+
+TEST(GangSession, AttributingMemberSharesScratchWithSimdMembers)
+{
+    // Member 0 attributes (top sites plus exact site tallies), so it
+    // replays through the reference kernels with a null scratch,
+    // while the AVX2 members around it run the phase-split kernels
+    // on the gang's shared scratch. Every member must match an
+    // independent scalar-loop session, tallies included.
+    const Trace trace = sessionTrace(44);
+    const std::vector<std::string> specs = {
+        "gshare:8:6", "gskewed:3:8:6", "egskew:8:6", "bimodal:8"};
+    SimOptions simd = everyKnob();
+    simd.topSites = 0;
+    simd.simd = SimdMode::Avx2;
+
+    SiteTallies ganged_tallies;
+    SimOptions attributing = simd;
+    attributing.topSites = 6;
+    attributing.siteTallies = &ganged_tallies;
+
+    std::vector<std::unique_ptr<Predictor>> ganged;
+    GangSession gang(1000);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        ganged.push_back(makePredictor(specs[i]));
+        gang.add(*ganged.back(), i == 0 ? attributing : simd,
+                 trace.name());
+    }
+    gang.feed(trace);
+    const std::vector<SimResult> got = gang.finish();
+
+    SiteTallies solo_tallies;
+    ASSERT_EQ(got.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        SCOPED_TRACE(specs[i]);
+        ASSERT_FALSE(gang.memberError(i));
+        SimOptions scalar = i == 0 ? attributing : simd;
+        scalar.scalarReplay = true;
+        scalar.siteTallies = i == 0 ? &solo_tallies : nullptr;
+        auto solo = makePredictor(specs[i]);
+        expectSameResult(simulateWithOptions(*solo, trace, scalar),
+                         got[i]);
+    }
+    EXPECT_FALSE(got[0].topSites.empty());
+
+    auto sorted = [](const SiteTallies &tallies) {
+        std::vector<std::tuple<Addr, u64, u64>> rows;
+        tallies.forEach([&](Addr pc, const SiteTally &tally) {
+            rows.emplace_back(pc, tally.branches, tally.mispredicts);
+        });
+        std::sort(rows.begin(), rows.end());
+        return rows;
+    };
+    EXPECT_EQ(sorted(ganged_tallies), sorted(solo_tallies));
+    EXPECT_GT(ganged_tallies.size(), 0u);
 }
 
 TEST(GangSession, ChunkedFeedsAndBlockSizesAreInvisible)

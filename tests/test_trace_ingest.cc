@@ -9,11 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <unistd.h>
 #include <vector>
 
@@ -517,6 +521,144 @@ TEST(Corpus, ReportIsIdenticalAcrossThreadCounts)
     }
     EXPECT_EQ(serial.files[0].ingest,
               mmapSupported() ? "mmap" : "stream");
+}
+
+TEST(Corpus, ClassificationMatchesExactReference)
+{
+    // Static-site counts, the predictability classes and the top
+    // sites against an independent std::map / std::set reference
+    // built over a scalar replay. The trace carries PC 0, the
+    // all-ones PC (the flat site table's empty-slot key) and a PC
+    // seen both as a conditional and as an unconditional branch.
+    // Warmup is on: the exact tallies count train-only branches,
+    // the top sites do not.
+    ScratchDir dir("exact");
+    const Addr shared_pc = 0x4000;
+    const Addr edge_pcs[] = {0, ~Addr(0), shared_pc};
+    Trace trace("exact");
+    Rng rng(51);
+    for (int i = 0; i < 30000; ++i) {
+        const Addr pc = rng.chance(0.1)
+            ? edge_pcs[rng.uniformInt(3)]
+            : 0x1000 + 4 * rng.uniformInt(500);
+        if (pc == shared_pc ? (i & 1) != 0 : rng.chance(0.15)) {
+            trace.appendUnconditional(pc);
+        } else if ((pc >> 2) % 3 == 0) {
+            trace.appendConditional(pc, rng.chance(0.5));
+        } else {
+            trace.appendConditional(pc, rng.chance(0.95));
+        }
+    }
+    saveBinaryTrace(dir.file("exact.bpt"), trace);
+
+    // gshare publishes probe events; gselect publishes none, so the
+    // classification must not depend on instrumentation.
+    for (const char *reference_spec : {"gshare:10:8", "gselect:10:6"}) {
+        SCOPED_TRACE(reference_spec);
+        CorpusOptions options;
+        options.specs = {reference_spec, "gskewed:3:8:6"};
+        options.sim.warmupBranches = 2000;
+        options.sim.simd = SimdMode::Avx2;
+        options.blockRecords = 1000;
+        options.topSites = 8;
+        options.threads = 1;
+        const CorpusReport report = runCorpus(dir.str(), options);
+        ASSERT_EQ(report.files.size(), 1u);
+        const CorpusFileResult &file = report.files[0];
+        ASSERT_TRUE(file.error.empty()) << file.error;
+
+        auto reference = makePredictor(options.specs[0]);
+        std::map<Addr, std::pair<u64, u64>> exact;
+        std::set<Addr> conditional_sites;
+        std::set<Addr> unconditional_sites;
+        for (const BranchRecord &record : trace) {
+            if (!record.conditional) {
+                unconditional_sites.insert(record.pc);
+                reference->notifyUnconditional(record.pc);
+                continue;
+            }
+            conditional_sites.insert(record.pc);
+            const bool prediction =
+                reference->predictAndUpdate(record.pc, record.taken)
+                    .prediction;
+            auto &cell = exact[record.pc];
+            ++cell.first;
+            cell.second += prediction != record.taken ? 1 : 0;
+        }
+        ASSERT_TRUE(conditional_sites.count(0));
+        ASSERT_TRUE(conditional_sites.count(~Addr(0)));
+        ASSERT_TRUE(conditional_sites.count(shared_pc));
+        ASSERT_TRUE(unconditional_sites.count(shared_pc));
+        EXPECT_EQ(file.stats.staticConditional, conditional_sites.size());
+        EXPECT_EQ(file.stats.staticUnconditional,
+                  unconditional_sites.size());
+        EXPECT_EQ(file.stats.dynamicConditional +
+                      file.stats.dynamicUnconditional,
+                  trace.size());
+
+        CorpusClassification want;
+        std::vector<SitePredictability> all;
+        for (const auto &[pc, cell] : exact) {
+            SitePredictability site;
+            site.pc = pc;
+            site.branches = cell.first;
+            site.mispredicts = cell.second;
+            const double ratio = double(cell.second) / double(cell.first);
+            if (cell.first < options.classifyMinBranches) {
+                site.klass = Predictability::Cold;
+                ++want.coldSites;
+            } else if (ratio <= options.easyThreshold) {
+                site.klass = Predictability::Easy;
+                ++want.easySites;
+            } else if (ratio > options.hardThreshold) {
+                site.klass = Predictability::Hard;
+                ++want.hardSites;
+                want.hardMispredicts += cell.second;
+            } else {
+                site.klass = Predictability::Medium;
+                ++want.mediumSites;
+            }
+            want.totalMispredicts += cell.second;
+            all.push_back(site);
+        }
+        std::stable_sort(all.begin(), all.end(),
+                         [](const SitePredictability &a,
+                            const SitePredictability &b) {
+                             return a.mispredicts > b.mispredicts;
+                         });
+        all.resize(std::min(all.size(), options.topSites));
+
+        const CorpusClassification &got = file.classes;
+        EXPECT_EQ(got.easySites, want.easySites);
+        EXPECT_EQ(got.mediumSites, want.mediumSites);
+        EXPECT_EQ(got.hardSites, want.hardSites);
+        EXPECT_EQ(got.coldSites, want.coldSites);
+        EXPECT_EQ(got.hardMispredicts, want.hardMispredicts);
+        EXPECT_EQ(got.totalMispredicts, want.totalMispredicts);
+        EXPECT_GT(want.hardSites, 0u);
+        ASSERT_EQ(got.hardest.size(), all.size());
+        for (std::size_t i = 0; i < all.size(); ++i) {
+            EXPECT_EQ(got.hardest[i].pc, all[i].pc);
+            EXPECT_EQ(got.hardest[i].branches, all[i].branches);
+            EXPECT_EQ(got.hardest[i].mispredicts, all[i].mispredicts);
+            EXPECT_EQ(got.hardest[i].klass, all[i].klass);
+        }
+
+        // Every member's SimResult — the reference's top sites included
+        // — matches a scalar-loop session over the in-memory trace.
+        ASSERT_EQ(file.results.size(), options.specs.size());
+        for (std::size_t s = 0; s < options.specs.size(); ++s) {
+            SimOptions scalar = options.sim;
+            scalar.scalarReplay = true;
+            scalar.topSites = s == 0 ? options.topSites : 0;
+            auto solo = makePredictor(options.specs[s]);
+            const SimResult want_result =
+                simulateWithOptions(*solo, trace, scalar);
+            EXPECT_EQ(want_result.toJson().dump(),
+                      file.results[s].toJson().dump());
+        }
+        EXPECT_FALSE(file.results[0].topSites.empty());
+    }
 }
 
 TEST(Corpus, CorruptFileIsIsolated)

@@ -17,6 +17,9 @@
  *             [--threads <n>] [--block-size <records>]
  *             [--warmup <branches>] [--topk <sites>]
  *             [--json <path>] [--trace-out <path>]
+ *
+ * Malformed or out-of-range numbers are usage errors (exit 2),
+ * rejected before any trace is read.
  */
 
 #include <chrono>
@@ -36,6 +39,15 @@ using namespace bpred;
 namespace
 {
 
+/** Largest --threads: as many workers as the bench front-ends take. */
+constexpr u64 maxThreads = 4096;
+
+/** Largest --block-size: 16M records (256 MiB) per worker buffer. */
+constexpr u64 maxBlockRecords = u64(1) << 24;
+
+/** Largest --topk: the top-K counter scans its slots per eviction. */
+constexpr u64 maxTopSites = u64(1) << 20;
+
 [[noreturn]] void
 usage()
 {
@@ -44,13 +56,34 @@ usage()
         << "  --spec <spec>          predictor spec (repeatable;\n"
         << "                         default gshare:12:10,\n"
         << "                         gskewed:3:11:8, egskew:11:8)\n"
-        << "  --threads <n>          worker threads (0 = auto)\n"
-        << "  --block-size <records> gang replay block size\n"
+        << "  --threads <n>          worker threads (0 = auto,\n"
+        << "                         at most " << maxThreads << ")\n"
+        << "  --block-size <records> gang replay block size (0 =\n"
+        << "                         default, at most "
+        << maxBlockRecords << ")\n"
         << "  --warmup <branches>    train-only prefix per member\n"
-        << "  --topk <sites>         hardest-site list length\n"
+        << "  --topk <sites>         hardest-site list length (at\n"
+        << "                         most " << maxTopSites << ")\n"
         << "  --json <path>          write the merged JSON report\n"
         << "  --trace-out <path>     write a Perfetto trace\n";
     std::exit(2);
+}
+
+/** Parse @p flag's value @p text in [0, @p max], or exit with usage. */
+u64
+parseFlag(const std::string &flag, const std::string &text, u64 max)
+{
+    try {
+        const u64 value = parseU64(text, flag);
+        if (value <= max) {
+            return value;
+        }
+        std::cerr << "bp_corpus: " << flag << " must be at most "
+                  << max << "\n";
+    } catch (const FatalError &error) {
+        std::cerr << "bp_corpus: " << error.what() << "\n";
+    }
+    usage();
 }
 
 } // namespace
@@ -77,16 +110,16 @@ main(int argc, char **argv)
             options.specs.push_back(next("--spec"));
         } else if (arg == "--threads") {
             options.threads = static_cast<unsigned>(
-                parseU64(next("--threads"), "--threads"));
+                parseFlag(arg, next("--threads"), maxThreads));
         } else if (arg == "--block-size") {
             options.blockRecords = static_cast<std::size_t>(
-                parseU64(next("--block-size"), "--block-size"));
+                parseFlag(arg, next("--block-size"), maxBlockRecords));
         } else if (arg == "--warmup") {
             options.sim.warmupBranches =
-                parseU64(next("--warmup"), "--warmup");
+                parseFlag(arg, next("--warmup"), ~u64(0));
         } else if (arg == "--topk") {
             options.topSites = static_cast<std::size_t>(
-                parseU64(next("--topk"), "--topk"));
+                parseFlag(arg, next("--topk"), maxTopSites));
         } else if (arg == "--json") {
             json_path = next("--json");
         } else if (arg == "--trace-out") {
