@@ -5,12 +5,12 @@
  * configuration, so per-event cost matters.
  *
  * Three sections:
- *  - "throughput": per scheme, the five replay kernels side by
- *    side — split predict()+update(), fused predictAndUpdate(),
- *    the per-block replayBlock() batch kernel, the phase-split
- *    SIMD path (replayBlock with an AVX2 ReplayScratch), and a
- *    4-member GangSession — in millions of records per second,
- *    each the median of several interleaved runs.
+ *  - "throughput": per scheme, the four replay kernels side by
+ *    side — per-branch predictAndUpdate(), the per-block
+ *    replayBlock() batch kernel, the phase-split SIMD path
+ *    (replayBlock with an AVX2 ReplayScratch), and a 4-member
+ *    GangSession — in millions of records per second, each the
+ *    median of several interleaved runs.
  *  - "simd_identity": for every factory scheme, the phase-split
  *    path is replayed against the fused scalar reference and must
  *    match tallies and saveState() bytes exactly; any divergence
@@ -24,7 +24,7 @@
  *    to be >= 1.5x faster.
  *
  * With `--json <path>` both tables land in BENCH_perf.json, so CI
- * keeps a scalar/fused/block/gang throughput trajectory per scheme.
+ * keeps a fused/block/simd/gang throughput trajectory per scheme.
  */
 
 #include "bench_common.hh"
@@ -103,30 +103,6 @@ double
 mrps(double records, double seconds)
 {
     return seconds > 0 ? records / seconds / 1e6 : 0.0;
-}
-
-/** Split predict()+update() — the pre-fusion reference. */
-double
-runSplit(const std::string &spec, const Trace &trace, int reps)
-{
-    auto predictor = makePredictor(spec);
-    u64 sink = 0;
-    const double seconds = secondsFor([&] {
-        for (int rep = 0; rep < reps; ++rep) {
-            for (const BranchRecord &record : trace) {
-                if (!record.conditional) {
-                    predictor->notifyUnconditional(record.pc);
-                    continue;
-                }
-                sink += predictor->predict(record.pc) ? 1 : 0;
-                predictor->update(record.pc, record.taken);
-            }
-        }
-    });
-    // Keep the predictions observable so the loop cannot be elided.
-    volatile u64 guard = sink;
-    (void)guard;
-    return mrps(double(trace.size()) * reps, seconds);
 }
 
 /** Fused predictAndUpdate() — one virtual call per branch. */
@@ -333,7 +309,7 @@ main(int argc, char **argv)
 
     init(argc, argv);
     banner("replay kernel throughput",
-           "Split vs fused vs per-block vs gang replay, and a "
+           "Fused vs per-block vs simd vs gang replay, and a "
            "fig5-shaped sweep per-cell vs ganged.");
 
     const Trace trace = makePerfTrace();
@@ -363,7 +339,7 @@ main(int argc, char **argv)
     // IPC / MPKrec come from a perf_event group bracketing the
     // block kernel; unavailable counters (containers, non-Linux)
     // print "-" and are omitted from the JSON stats.
-    TextTable table({"scheme", "split Mrec/s", "fused Mrec/s",
+    TextTable table({"scheme", "fused Mrec/s",
                      "block Mrec/s", "simd Mrec/s", "gang4 Mrec/s",
                      "block/fused", "simd/block", "IPC",
                      "c-miss/Krec", "b-miss/Krec"});
@@ -372,13 +348,11 @@ main(int argc, char **argv)
         // Interleaved repetitions: one rep of every kernel per pass
         // (see timingRepetitions) so the medians compare like with
         // like under machine-wide throughput drift.
-        std::vector<double> splitSamples;
         std::vector<double> fusedSamples;
         std::vector<BlockPerf> blockSamples;
         std::vector<double> simdSamples;
         std::vector<double> gangSamples;
         for (int i = 0; i < timingRepetitions; ++i) {
-            splitSamples.push_back(runSplit(spec, trace, reps));
             fusedSamples.push_back(runFused(spec, trace, reps));
             blockSamples.push_back(
                 runBlock(spec, trace, reps, block));
@@ -387,14 +361,12 @@ main(int argc, char **argv)
             gangSamples.push_back(
                 runGang(spec, trace, reps, block));
         }
-        const double split = medianOfSamples(splitSamples);
         const double fused = medianOfSamples(fusedSamples);
         const BlockPerf blocked = medianBlockPerf(blockSamples);
         const double simd = medianOfSamples(simdSamples);
         const double ganged = medianOfSamples(gangSamples);
         table.row()
             .cell(spec)
-            .cell(split, 1)
             .cell(fused, 1)
             .cell(blocked.mrps, 1)
             .cell(simd, 1)

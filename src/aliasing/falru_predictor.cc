@@ -1,5 +1,6 @@
 #include "aliasing/falru_predictor.hh"
 
+#include "predictors/block_kernel.hh"
 #include "predictors/info_vector.hh"
 #include "support/serialize.hh"
 
@@ -21,39 +22,52 @@ FaLruPredictor::keyOf(Addr pc) const
     return packInfoVector(pc, history.raw(), historyBits);
 }
 
-bool
-FaLruPredictor::predict(Addr pc)
+/**
+ * The FA-LRU predictor's state is an LRU tag store, not a counter
+ * array, so its State works on the predictor directly.
+ */
+struct FaLruPredictor::State
 {
-    const u8 *payload = table.peek(keyOf(pc));
-    if (payload == nullptr) {
-        return true; // static always-taken fallback
-    }
-    SatCounter counter(counterBits, *payload);
-    return counter.predictTaken();
-}
+    FaLruPredictor &self;
 
-void
-FaLruPredictor::update(Addr pc, bool taken)
-{
-    const u64 key = keyOf(pc);
-    u8 *payload = table.access(key);
-    if (payload == nullptr) {
-        // Fresh entry: initialize strongly toward the outcome.
-        SatCounter counter(counterBits);
-        counter.setStrong(taken);
-        table.setPayload(key, counter.value());
-    } else {
-        SatCounter counter(counterBits, *payload);
-        counter.update(taken);
-        *payload = counter.value();
+    bool
+    predict(Addr pc) const
+    {
+        const u8 *payload = self.table.peek(self.keyOf(pc));
+        // A miss falls back to the static always-taken prediction.
+        return payload == nullptr ||
+            SatCounter(self.counterBits, *payload).predictTaken();
     }
-    history.shiftIn(taken);
-}
 
-void
-FaLruPredictor::notifyUnconditional(Addr)
+    template <typename Sink>
+    bool
+    step(Addr pc, bool taken, Sink &)
+    {
+        const u64 key = self.keyOf(pc);
+        u8 *payload = self.table.access(key);
+        bool prediction = true; // a miss predicts always-taken
+        if (payload == nullptr) {
+            // Fresh entry: initialize strongly toward the outcome.
+            SatCounter counter(self.counterBits);
+            counter.setStrong(taken);
+            self.table.setPayload(key, counter.value());
+        } else {
+            SatCounter counter(self.counterBits, *payload);
+            prediction = counter.predictTaken();
+            counter.update(taken);
+            *payload = counter.value();
+        }
+        self.history.shiftIn(taken);
+        return prediction;
+    }
+
+    void unconditional(Addr) { self.history.shiftIn(true); }
+};
+
+FaLruPredictor::State
+FaLruPredictor::state()
 {
-    history.shiftIn(true);
+    return {*this};
 }
 
 std::string
@@ -91,5 +105,7 @@ FaLruPredictor::loadState(std::istream &is)
     table.loadState(is);
     history.set(getU64(is));
 }
+
+template class BlockPredictor<FaLruPredictor>;
 
 } // namespace bpred

@@ -25,7 +25,7 @@ namespace bpred
  * hardware scheme could hope to remove, and gskewed is judged
  * against it.
  */
-class FaLruPredictor : public Predictor
+class FaLruPredictor : public BlockPredictor<FaLruPredictor>
 {
   public:
     /**
@@ -36,9 +36,6 @@ class FaLruPredictor : public Predictor
     FaLruPredictor(u64 capacity, unsigned history_bits,
                    unsigned counter_bits = 2);
 
-    bool predict(Addr pc) override;
-    void update(Addr pc, bool taken) override;
-    void notifyUnconditional(Addr pc) override;
     std::string name() const override;
 
     /**
@@ -58,6 +55,10 @@ class FaLruPredictor : public Predictor
     double missRatio() const { return table.missStat().ratio(); }
 
   private:
+    friend class BlockPredictor<FaLruPredictor>;
+    struct State;
+
+    State state();
     u64 keyOf(Addr pc) const;
 
     FullyAssociativeLruTable table;

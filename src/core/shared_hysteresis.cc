@@ -1,6 +1,6 @@
 #include "core/shared_hysteresis.hh"
 
-#include "core/skew.hh"
+#include "predictors/block_kernel.hh"
 #include "predictors/info_vector.hh"
 #include "support/logging.hh"
 #include "support/serialize.hh"
@@ -33,23 +33,66 @@ SharedHysteresisSkewedPredictor::SharedHysteresisSkewedPredictor(
     }
 }
 
-u64
-SharedHysteresisSkewedPredictor::bankIndexOf(unsigned bank,
-                                             Addr pc) const
+/**
+ * Shared-hysteresis banks are byte vectors, not counter arrays, so
+ * the State works on the predictor directly.
+ */
+struct SharedHysteresisSkewedPredictor::State
 {
-    if (config.enhanced && bank == 0) {
-        return addressIndex(pc, config.bankIndexBits);
-    }
-    const u64 v =
-        packInfoVector(pc, history.raw(), config.historyBits);
-    return skewIndex(bank, v, config.bankIndexBits);
-}
+    SharedHysteresisSkewedPredictor &self;
 
-bool
-SharedHysteresisSkewedPredictor::bankPredicts(const Bank &bank,
-                                              u64 index) const
+    u64
+    bankIndexOf(unsigned bank, Addr pc) const
+    {
+        return skewedBankIndex(self.config, bank, pc, self.history.raw());
+    }
+
+    bool
+    predict(Addr pc) const
+    {
+        unsigned votes_taken = 0;
+        for (unsigned bank = 0; bank < self.config.numBanks; ++bank) {
+            votes_taken += unsigned(
+                self.banks[bank].prediction[bankIndexOf(bank, pc)] != 0);
+        }
+        return votes_taken * 2 > self.config.numBanks;
+    }
+
+    template <typename Sink>
+    bool
+    step(Addr pc, bool taken, Sink &)
+    {
+        const unsigned num_banks = self.config.numBanks;
+        unsigned votes_taken = 0;
+        u64 indices[maxSkewBanks];
+        bool bank_predictions[maxSkewBanks];
+        for (unsigned bank = 0; bank < num_banks; ++bank) {
+            indices[bank] = bankIndexOf(bank, pc);
+            bank_predictions[bank] =
+                self.banks[bank].prediction[indices[bank]] != 0;
+            votes_taken += unsigned(bank_predictions[bank]);
+        }
+        const bool overall = votes_taken * 2 > num_banks;
+        const bool partial =
+            self.config.updatePolicy != UpdatePolicy::Total;
+        for (unsigned bank = 0; bank < num_banks; ++bank) {
+            if (partial && overall == taken &&
+                bank_predictions[bank] != taken) {
+                continue;
+            }
+            bankTrain(self.banks[bank], indices[bank], taken);
+        }
+        self.history.shiftIn(taken);
+        return overall;
+    }
+
+    void unconditional(Addr) { self.history.shiftIn(true); }
+};
+
+SharedHysteresisSkewedPredictor::State
+SharedHysteresisSkewedPredictor::state()
 {
-    return bank.prediction[index] != 0;
+    return {*this};
 }
 
 void
@@ -71,53 +114,6 @@ SharedHysteresisSkewedPredictor::bankTrain(Bank &bank, u64 index,
     }
     bank.prediction[index] = static_cast<u8>(counter >> 1);
     bank.hysteresis[hyst_index] = static_cast<u8>(counter & 1);
-}
-
-bool
-SharedHysteresisSkewedPredictor::predict(Addr pc)
-{
-    unsigned votes_taken = 0;
-    for (unsigned bank = 0; bank < config.numBanks; ++bank) {
-        if (bankPredicts(banks[bank], bankIndexOf(bank, pc))) {
-            ++votes_taken;
-        }
-    }
-    return votes_taken * 2 > config.numBanks;
-}
-
-void
-SharedHysteresisSkewedPredictor::update(Addr pc, bool taken)
-{
-    unsigned votes_taken = 0;
-    u64 indices[maxSkewBanks];
-    bool bank_predictions[maxSkewBanks];
-    for (unsigned bank = 0; bank < config.numBanks; ++bank) {
-        indices[bank] = bankIndexOf(bank, pc);
-        bank_predictions[bank] =
-            bankPredicts(banks[bank], indices[bank]);
-        if (bank_predictions[bank]) {
-            ++votes_taken;
-        }
-    }
-    const bool overall = votes_taken * 2 > config.numBanks;
-    const bool overall_correct = overall == taken;
-    const bool partial =
-        config.updatePolicy != UpdatePolicy::Total;
-
-    for (unsigned bank = 0; bank < config.numBanks; ++bank) {
-        const bool bank_correct = bank_predictions[bank] == taken;
-        if (partial && overall_correct && !bank_correct) {
-            continue;
-        }
-        bankTrain(banks[bank], indices[bank], taken);
-    }
-    history.shiftIn(taken);
-}
-
-void
-SharedHysteresisSkewedPredictor::notifyUnconditional(Addr)
-{
-    history.shiftIn(true);
 }
 
 std::string
@@ -190,5 +186,7 @@ SharedHysteresisSkewedPredictor::reset()
     }
     history.reset();
 }
+
+template class BlockPredictor<SharedHysteresisSkewedPredictor>;
 
 } // namespace bpred

@@ -33,15 +33,13 @@ namespace bpred
  * bit plus a hysteresis bit shared with the entry's neighbour
  * (index ^ 1), for 1.5 bits/entry.
  */
-class SharedHysteresisSkewedPredictor : public Predictor
+class SharedHysteresisSkewedPredictor
+    : public BlockPredictor<SharedHysteresisSkewedPredictor>
 {
   public:
     explicit SharedHysteresisSkewedPredictor(
         const SkewedPredictor::Config &config);
 
-    bool predict(Addr pc) override;
-    void update(Addr pc, bool taken) override;
-    void notifyUnconditional(Addr pc) override;
     std::string name() const override;
 
     /** 1.5 bits per entry: entries + entries/2 hysteresis bits. */
@@ -56,6 +54,11 @@ class SharedHysteresisSkewedPredictor : public Predictor
     u64 entriesPerBank() const { return u64(1) << config.bankIndexBits; }
 
   private:
+    friend class BlockPredictor<SharedHysteresisSkewedPredictor>;
+    struct State;
+
+    State state();
+
     struct Bank
     {
         /** One direction bit per entry. */
@@ -65,9 +68,7 @@ class SharedHysteresisSkewedPredictor : public Predictor
         std::vector<u8> hysteresis;
     };
 
-    u64 bankIndexOf(unsigned bank, Addr pc) const;
-    bool bankPredicts(const Bank &bank, u64 index) const;
-    void bankTrain(Bank &bank, u64 index, bool taken);
+    static void bankTrain(Bank &bank, u64 index, bool taken);
 
     SkewedPredictor::Config config;
     std::vector<Bank> banks;

@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "core/skew.hh"
+#include "predictors/block_kernel.hh"
 #include "predictors/info_vector.hh"
 #include "support/logging.hh"
 #include "support/serialize.hh"
@@ -48,52 +49,63 @@ SkewedLocalPredictor::bankIndexOf(unsigned bank, Addr pc,
     return skewIndex(bank, v, bankIndexBits);
 }
 
-bool
-SkewedLocalPredictor::predict(Addr pc)
+/**
+ * pskew's banks and history table are containers of its own, so
+ * the State works on the predictor directly.
+ */
+struct SkewedLocalPredictor::State
 {
-    const u16 local_history =
-        historyTable[addressIndex(pc, bhtIndexBits)];
-    unsigned votes_taken = 0;
-    for (unsigned bank = 0; bank < banks.size(); ++bank) {
-        if (banks[bank].predictTaken(
-                bankIndexOf(bank, pc, local_history))) {
-            ++votes_taken;
-        }
-    }
-    return votes_taken * 2 > banks.size();
-}
+    SkewedLocalPredictor &self;
 
-void
-SkewedLocalPredictor::update(Addr pc, bool taken)
+    bool
+    predict(Addr pc) const
+    {
+        const u16 local_history =
+            self.historyTable[addressIndex(pc, self.bhtIndexBits)];
+        unsigned votes_taken = 0;
+        for (unsigned bank = 0; bank < self.banks.size(); ++bank) {
+            votes_taken += unsigned(self.banks[bank].predictTaken(
+                self.bankIndexOf(bank, pc, local_history)));
+        }
+        return votes_taken * 2 > self.banks.size();
+    }
+
+    template <typename Sink>
+    bool
+    step(Addr pc, bool taken, Sink &)
+    {
+        u16 &local_history =
+            self.historyTable[addressIndex(pc, self.bhtIndexBits)];
+        const unsigned num_banks = unsigned(self.banks.size());
+        unsigned votes_taken = 0;
+        u64 indices[maxSkewBanks];
+        bool bank_predictions[maxSkewBanks];
+        for (unsigned bank = 0; bank < num_banks; ++bank) {
+            indices[bank] = self.bankIndexOf(bank, pc, local_history);
+            bank_predictions[bank] =
+                self.banks[bank].predictTaken(indices[bank]);
+            votes_taken += unsigned(bank_predictions[bank]);
+        }
+        const bool overall = votes_taken * 2 > num_banks;
+        const bool partial = self.updatePolicy != UpdatePolicy::Total;
+        for (unsigned bank = 0; bank < num_banks; ++bank) {
+            if (partial && overall == taken &&
+                bank_predictions[bank] != taken) {
+                continue;
+            }
+            self.banks[bank].update(indices[bank], taken);
+        }
+        local_history = static_cast<u16>(
+            ((local_history << 1) | (taken ? 1 : 0)) &
+            mask(self.localHistoryBits));
+        return overall;
+    }
+};
+
+SkewedLocalPredictor::State
+SkewedLocalPredictor::state()
 {
-    u16 &local_history = historyTable[addressIndex(pc, bhtIndexBits)];
-
-    unsigned votes_taken = 0;
-    u64 indices[maxSkewBanks];
-    bool bank_predictions[maxSkewBanks];
-    for (unsigned bank = 0; bank < banks.size(); ++bank) {
-        indices[bank] = bankIndexOf(bank, pc, local_history);
-        bank_predictions[bank] =
-            banks[bank].predictTaken(indices[bank]);
-        if (bank_predictions[bank]) {
-            ++votes_taken;
-        }
-    }
-    const bool overall = votes_taken * 2 > banks.size();
-    const bool overall_correct = overall == taken;
-    const bool partial = updatePolicy != UpdatePolicy::Total;
-
-    for (unsigned bank = 0; bank < banks.size(); ++bank) {
-        const bool bank_correct = bank_predictions[bank] == taken;
-        if (partial && overall_correct && !bank_correct) {
-            continue;
-        }
-        banks[bank].update(indices[bank], taken);
-    }
-
-    local_history = static_cast<u16>(
-        ((local_history << 1) | (taken ? 1 : 0)) &
-        mask(localHistoryBits));
+    return {*this};
 }
 
 std::string
@@ -158,5 +170,7 @@ SkewedLocalPredictor::loadState(std::istream &is)
     }
     historyTable = std::move(restored);
 }
+
+template class BlockPredictor<SkewedLocalPredictor>;
 
 } // namespace bpred

@@ -28,7 +28,8 @@ namespace bpred
  * table of per-address local histories feeding skewed second-level
  * banks.
  */
-class SkewedLocalPredictor : public Predictor
+class SkewedLocalPredictor
+    : public BlockPredictor<SkewedLocalPredictor>
 {
   public:
     /**
@@ -46,8 +47,6 @@ class SkewedLocalPredictor : public Predictor
                          UpdatePolicy policy = UpdatePolicy::Partial,
                          unsigned counter_bits = 2);
 
-    bool predict(Addr pc) override;
-    void update(Addr pc, bool taken) override;
     std::string name() const override;
     u64 storageBits() const override;
     void reset() override;
@@ -56,6 +55,10 @@ class SkewedLocalPredictor : public Predictor
     void loadState(std::istream &is) override;
 
   private:
+    friend class BlockPredictor<SkewedLocalPredictor>;
+    struct State;
+
+    State state();
     u64 bankIndexOf(unsigned bank, Addr pc, u16 local_history) const;
 
     std::vector<u16> historyTable;

@@ -15,53 +15,50 @@
 namespace bpred
 {
 
-namespace
-{
-
 /**
  * Skewed-predictor hot state (see block_kernel.hh): per-bank counter
  * views, a by-value Config, a by-value history register, and a local
  * write tally, so the vote/update loop runs entirely out of
  * registers and the (inlined) skewing hashes. The bank count is a
- * template parameter — replayBlock() dispatches over the odd counts
+ * template parameter — withState() dispatches over the odd counts
  * the skewing family admits — so the bank loops fully unroll and
  * the skewH/skewHInverse subexpressions the f0/f1/f2 functions
- * share are computed once per branch, not once per bank. step()
- * computes the same result as SkewedPredictor::updateUnprobed() —
- * the block-vs-scalar contract tests pin the two against each other
- * for every policy, indexing mode, and the enhanced variant.
+ * share are computed once per branch, not once per bank.
  */
 template <unsigned NumBanks>
-struct SkewedBlockState
+struct SkewedPredictor::State
 {
     static_assert(NumBanks >= 1 && NumBanks <= maxSkewBanks);
 
     SatCounterArray::View banks[NumBanks];
-    SkewedPredictor::Config config;
+    Config config;
     GlobalHistory history;
     u64 bankWrites = 0;
-    GlobalHistory *historyOut = nullptr;
-    u64 *bankWritesOut = nullptr;
+    SkewedPredictor *owner;
 
     u64
     bankIndexOf(unsigned bank, Addr pc) const
     {
-        if (config.indexing == BankIndexing::IdenticalGshare) {
-            return gshareIndex(pc, history.raw(), config.historyBits,
-                               config.bankIndexBits);
-        }
-        if (config.enhanced && bank == 0) {
-            // e-gskew: bank 0 sees the address alone (bit truncation).
-            return addressIndex(pc, config.bankIndexBits);
-        }
-        const u64 v =
-            packInfoVector(pc, history.raw(), config.historyBits);
-        return skewIndex(bank, v, config.bankIndexBits);
+        return skewedBankIndex(config, bank, pc, history.raw());
     }
 
     bool
-    step(Addr pc, bool taken)
+    predict(Addr pc) const
     {
+        unsigned votes_taken = 0;
+        for (unsigned bank = 0; bank < NumBanks; ++bank) {
+            votes_taken +=
+                unsigned(banks[bank].predictTaken(bankIndexOf(bank, pc)));
+        }
+        return votes_taken * 2 > NumBanks;
+    }
+
+    template <typename Sink>
+    bool
+    step(Addr pc, bool taken, Sink &sink)
+    {
+        // Per-bank indices and votes with the pre-branch history,
+        // then the update policy.
         unsigned votes_taken = 0;
         u64 indices[NumBanks];
         u8 values[NumBanks];
@@ -75,15 +72,26 @@ struct SkewedBlockState
         }
         const bool overall = votes_taken * 2 > NumBanks;
         const bool overall_correct = overall == taken;
+        if constexpr (publishes<Sink>) {
+            sink.onResolved({pc, overall, taken});
+            for (unsigned bank = 0; bank < NumBanks; ++bank) {
+                sink.onBankVote(
+                    {pc, bank, bank_predictions[bank], overall, taken});
+            }
+        }
 
-        // The policy skips below are decided by data (the branch
-        // outcome and per-bank agreement), so they are computed as
+        // The policy skips are decided by data (the branch outcome
+        // and per-bank agreement), so they are computed as
         // straight-line ALU arithmetic — bitwise bool combination,
-        // write-enable folded into the store multiplicatively — so
+        // write-enable folded into the store multiplicatively — and
         // the loop carries no data-dependent branch the host CPU
         // could mispredict. A policy-skipped bank stores its old
-        // value back; bankWrites still counts exactly the updates
-        // the scalar updateUnprobed() performs.
+        // value back and does not count as a bank write.
+        //
+        // Partial: a bank that disagreed while the vote was right
+        // likely serves another substream, so it is left alone.
+        // PartialLazy: also skip a write that would not change a
+        // counter already saturated toward the outcome.
         const bool partial =
             config.updatePolicy == UpdatePolicy::Partial ||
             config.updatePolicy == UpdatePolicy::PartialLazy;
@@ -101,9 +109,20 @@ struct SkewedBlockState
             const int write = 1 & ~(skip_partial | skip_lazy);
             const int up = int(taken) & int(value < max);
             const int down = int(!taken) & int(value > 0);
-            banks[bank].at(indices[bank]) =
-                static_cast<u8>(value + write * (up - down));
+            const u8 next = static_cast<u8>(value + write * (up - down));
+            banks[bank].at(indices[bank]) = next;
             bankWrites += u64(write);
+            if constexpr (publishes<Sink>) {
+                if (skip_partial) {
+                    sink.onUpdateSkip(
+                        {bank, UpdateSkipEvent::Reason::PartialProtect});
+                } else if (skip_lazy) {
+                    sink.onUpdateSkip(
+                        {bank, UpdateSkipEvent::Reason::LazySaturated});
+                } else if (next != value) {
+                    sink.onCounterWrite({bank, value, next});
+                }
+            }
         }
         history.shiftIn(taken);
         return overall;
@@ -114,12 +133,36 @@ struct SkewedBlockState
     void
     commit()
     {
-        *historyOut = history;
-        *bankWritesOut += bankWrites;
+        owner->history = history;
+        owner->bankWriteCount += bankWrites;
     }
 };
 
-} // namespace
+template <typename Fn>
+decltype(auto)
+SkewedPredictor::withState(Fn &&fn)
+{
+    const auto run = [&]<unsigned NumBanks>() -> decltype(auto) {
+        State<NumBanks> state{};
+        for (unsigned bank = 0; bank < NumBanks; ++bank) {
+            state.banks[bank] = banks.bankView(bank);
+        }
+        state.config = config;
+        state.history = history;
+        state.owner = this;
+        return fn(state);
+    };
+    // The constructor admits only the family's odd bank counts.
+    switch (config.numBanks) {
+      case 1:
+        return run.template operator()<1>();
+      case 3:
+        return run.template operator()<3>();
+      case 5:
+        return run.template operator()<5>();
+    }
+    panic("gskewed: bank count outside the skewing family");
+}
 
 const SkewedPredictor::Config &
 SkewedPredictor::validated(const Config &config)
@@ -157,309 +200,94 @@ SkewedPredictor::SkewedPredictor(unsigned num_banks,
 {
 }
 
-u64
-SkewedPredictor::bankIndexOf(unsigned bank, Addr pc) const
-{
-    if (config.indexing == BankIndexing::IdenticalGshare) {
-        return gshareIndex(pc, history.raw(), config.historyBits,
-                           config.bankIndexBits);
-    }
-    if (config.enhanced && bank == 0) {
-        // e-gskew: bank 0 sees the address alone (bit truncation).
-        return addressIndex(pc, config.bankIndexBits);
-    }
-    const u64 v = packInfoVector(pc, history.raw(), config.historyBits);
-    return skewIndex(bank, v, config.bankIndexBits);
-}
-
 std::vector<u64>
 SkewedPredictor::bankIndices(Addr pc) const
 {
     std::vector<u64> indices(config.numBanks);
     for (unsigned bank = 0; bank < config.numBanks; ++bank) {
-        indices[bank] = bankIndexOf(bank, pc);
+        indices[bank] = skewedBankIndex(config, bank, pc, history.raw());
     }
     return indices;
 }
 
 bool
-SkewedPredictor::predict(Addr pc)
+SkewedPredictor::replayPhaseSplit(const BranchRecord *records,
+                                  std::size_t count,
+                                  ReplayCounters &counters,
+                                  ReplayScratch &scratch)
 {
-    unsigned votes_taken = 0;
-    for (unsigned bank = 0; bank < config.numBanks; ++bank) {
-        if (banks.predictTaken(bank, bankIndexOf(bank, pc))) {
-            ++votes_taken;
-        }
+    if (!simdSkewGeometryOk(config.bankIndexBits, config.historyBits) ||
+        resolveSimdMode(scratch.mode) != SimdMode::Avx2) {
+        return false;
     }
-    return votes_taken * 2 > config.numBanks;
-}
-
-void
-SkewedPredictor::update(Addr pc, bool taken)
-{
-    // Dispatch before any work: the instrumented variant repeats the
-    // whole algorithm with event publishing, keeping the no-sink
-    // pass free of probe checks.
-    if (probeSink) [[unlikely]] {
-        updateProbed(pc, taken);
-        return;
-    }
-    updateUnprobed(pc, taken);
-}
-
-Outcome
-SkewedPredictor::predictAndUpdate(Addr pc, bool taken)
-{
-    if (probeSink) [[unlikely]] {
-        // Off the hot loop; reuse the split implementation so event
-        // order stays identical to predict()+update().
-        const bool prediction = predict(pc);
-        updateProbed(pc, taken);
-        return {prediction};
-    }
-    // One pass: updateUnprobed() already computes every bank index
-    // and vote, so the fused path skips predict()'s duplicate index
-    // computation and bank reads entirely.
-    return {updateUnprobed(pc, taken)};
-}
-
-void
-SkewedPredictor::replayBlock(const BranchRecord *records,
-                             std::size_t count,
-                             ReplayCounters &counters,
-                             ReplayScratch *scratch)
-{
-    if (probeSink) [[unlikely]] {
-        // Scalar delegation keeps the event stream bit-identical.
-        Predictor::replayBlock(records, count, counters);
-        return;
-    }
-    const bool phase_split = scratch &&
-        simdSkewGeometryOk(config.bankIndexBits, config.historyBits) &&
-        resolveSimdMode(scratch->mode) == SimdMode::Avx2;
-    // Covers both gskewed and e-gskew (one kernel instantiation per
-    // bank count): the inlined fused step mirrors updateUnprobed(),
-    // so each bank index is computed once per branch and the loop
-    // carries no virtual calls at all. The phase-split variant
-    // (skewed_kernel_simd.hh) precomputes every bank's indices for
-    // the block with the vectorized f0..f4 kernels first — exact,
-    // because history advances on outcomes, never predictions — and
-    // resolves fed by them with cross-bank prefetch.
-    const auto run = [&]<unsigned NumBanks>() {
-        if (phase_split) {
-            const bool identical =
-                config.indexing == BankIndexing::IdenticalGshare;
-            const bool partial =
-                config.updatePolicy == UpdatePolicy::Partial ||
-                config.updatePolicy == UpdatePolicy::PartialLazy;
-            const bool lazy =
-                config.updatePolicy == UpdatePolicy::PartialLazy;
-            // One u8 counter per entry per bank: the group's total
-            // footprint decides whether the resolve pass prefetches.
-            const bool prefetch = simdWantsCounterPrefetch(
-                u64(NumBanks) << config.bankIndexBits);
-            const u64 history_out = replayTiled(
-                records, count, history.raw(), *scratch, NumBanks,
-                [&](std::size_t conditionals) {
-                    const u64 *pcs = scratch->pc.data();
-                    const u64 *hists = scratch->history.data();
-                    if (identical) {
-                        // Pure replication: one shared index set.
-                        fillGshareIndices(SimdMode::Avx2, pcs, hists,
-                                          conditionals,
-                                          config.historyBits,
-                                          config.bankIndexBits,
-                                          scratch->indices[0].data());
-                    } else {
-                        // One fused pass: the banks share the packed
-                        // vector and the four H permutation values,
-                        // and e-gskew's address-only bank 0 rides
-                        // along on the loaded pc lanes.
-                        u32 *outs[NumBanks];
-                        for (unsigned bank = 0; bank < NumBanks;
-                             ++bank) {
-                            outs[bank] = (config.enhanced && bank == 0)
-                                ? nullptr
-                                : scratch->indices[bank].data();
-                        }
-                        fillSkewIndexGroup(
-                            SimdMode::Avx2, pcs, hists, conditionals,
-                            config.historyBits, config.bankIndexBits,
-                            NumBanks, outs,
-                            config.enhanced
-                                ? scratch->indices[0].data()
-                                : nullptr);
+    // Covers both gskewed and e-gskew, one instantiation per bank
+    // count: precompute every bank's indices for the block with the
+    // vectorized f0..f4 kernels first (skewed_kernel_simd.hh) —
+    // exact, because history advances on outcomes, never
+    // predictions — and resolve fed by them with cross-bank
+    // prefetch.
+    return withState([&]<unsigned NumBanks>(State<NumBanks> &state) {
+        const bool identical =
+            config.indexing == BankIndexing::IdenticalGshare;
+        const bool partial =
+            config.updatePolicy == UpdatePolicy::Partial ||
+            config.updatePolicy == UpdatePolicy::PartialLazy;
+        const bool lazy =
+            config.updatePolicy == UpdatePolicy::PartialLazy;
+        // One u8 counter per entry per bank: the group's total
+        // footprint decides whether the resolve pass prefetches.
+        const bool prefetch = simdWantsCounterPrefetch(
+            u64(NumBanks) << config.bankIndexBits);
+        const u64 history_out = replayTiled(
+            records, count, history.raw(), scratch, NumBanks,
+            [&](std::size_t conditionals) {
+                const u64 *pcs = scratch.pc.data();
+                const u64 *hists = scratch.history.data();
+                if (identical) {
+                    // Pure replication: one shared index set.
+                    fillGshareIndices(SimdMode::Avx2, pcs, hists,
+                                      conditionals,
+                                      config.historyBits,
+                                      config.bankIndexBits,
+                                      scratch.indices[0].data());
+                } else {
+                    // One fused pass: the banks share the packed
+                    // vector and the four H permutation values,
+                    // and e-gskew's address-only bank 0 rides
+                    // along on the loaded pc lanes.
+                    u32 *outs[NumBanks];
+                    for (unsigned bank = 0; bank < NumBanks;
+                         ++bank) {
+                        outs[bank] = (config.enhanced && bank == 0)
+                            ? nullptr
+                            : scratch.indices[bank].data();
                     }
-                    SatCounterArray::View views[NumBanks];
-                    const u32 *idx[NumBanks];
-                    for (unsigned bank = 0; bank < NumBanks; ++bank) {
-                        views[bank] = banks.bankView(bank);
-                        idx[bank] = identical
-                            ? scratch->indices[0].data()
-                            : scratch->indices[bank].data();
-                    }
-                    resolveSkewedBanks(
-                        views, idx, scratch->taken.data(),
-                        conditionals, partial, lazy, prefetch,
-                        counters, bankWriteCount,
-                        [&](unsigned bank, std::size_t j) -> u64 {
-                            if (identical) {
-                                return u64(gshareIndex(
-                                    pcs[j], hists[j],
-                                    config.historyBits,
-                                    config.bankIndexBits));
-                            }
-                            if (config.enhanced && bank == 0) {
-                                return u64(addressIndex(
-                                    pcs[j], config.bankIndexBits));
-                            }
-                            return u64(skewIndex(
-                                bank,
-                                packInfoVector(pcs[j], hists[j],
-                                               config.historyBits),
-                                config.bankIndexBits));
-                        });
-                });
-            history.set(history_out);
-            return;
-        }
-        SkewedBlockState<NumBanks> state{};
-        for (unsigned bank = 0; bank < NumBanks; ++bank) {
-            state.banks[bank] = banks.bankView(bank);
-        }
-        state.config = config;
-        state.history = history;
-        state.historyOut = &history;
-        state.bankWritesOut = &bankWriteCount;
-        replayBlockWithState(state, records, count, counters);
-    };
-    // The constructor admits only the family's odd bank counts.
-    switch (config.numBanks) {
-      case 1:
-        run.template operator()<1>();
-        break;
-      case 3:
-        run.template operator()<3>();
-        break;
-      case 5:
-        run.template operator()<5>();
-        break;
-      default:
-        panic("gskewed: bank count outside the skewing family");
-    }
-}
-
-bool
-SkewedPredictor::updateUnprobed(Addr pc, bool taken)
-{
-    // Compute per-bank indices and predictions with the pre-branch
-    // history (update() contract), then apply the update policy.
-    unsigned votes_taken = 0;
-    u64 indices[maxSkewBanks];
-    bool bank_predictions[maxSkewBanks];
-    for (unsigned bank = 0; bank < config.numBanks; ++bank) {
-        indices[bank] = bankIndexOf(bank, pc);
-        bank_predictions[bank] =
-            banks.predictTaken(bank, indices[bank]);
-        if (bank_predictions[bank]) {
-            ++votes_taken;
-        }
-    }
-    const bool overall = votes_taken * 2 > config.numBanks;
-    const bool overall_correct = overall == taken;
-
-    const bool partial =
-        config.updatePolicy == UpdatePolicy::Partial ||
-        config.updatePolicy == UpdatePolicy::PartialLazy;
-    for (unsigned bank = 0; bank < config.numBanks; ++bank) {
-        const bool bank_correct = bank_predictions[bank] == taken;
-        if (partial && overall_correct && !bank_correct) {
-            // The bank disagreed but the vote was right: its entry
-            // likely serves another substream, so leave it alone.
-            continue;
-        }
-        if (config.updatePolicy == UpdatePolicy::PartialLazy &&
-            bank_correct) {
-            // Skip the write when the counter is already saturated
-            // toward the outcome; its value would not change.
-            const u8 value = banks.value(bank, indices[bank]);
-            const u8 saturated = taken
-                ? static_cast<u8>(mask(config.counterBits))
-                : u8(0);
-            if (value == saturated) {
-                continue;
-            }
-        }
-        banks.update(bank, indices[bank], taken);
-        ++bankWriteCount;
-    }
-    history.shiftIn(taken);
-    return overall;
-}
-
-void
-SkewedPredictor::updateProbed(Addr pc, bool taken)
-{
-    // Mirrors update() exactly, adding event publishing at each
-    // decision point. test_probe's SinkDoesNotChangePredictions
-    // guards the two paths against drifting apart.
-    unsigned votes_taken = 0;
-    u64 indices[maxSkewBanks];
-    bool bank_predictions[maxSkewBanks];
-    for (unsigned bank = 0; bank < config.numBanks; ++bank) {
-        indices[bank] = bankIndexOf(bank, pc);
-        bank_predictions[bank] =
-            banks.predictTaken(bank, indices[bank]);
-        if (bank_predictions[bank]) {
-            ++votes_taken;
-        }
-    }
-    const bool overall = votes_taken * 2 > config.numBanks;
-    const bool overall_correct = overall == taken;
-
-    probeSink->onResolved({pc, overall, taken});
-    for (unsigned bank = 0; bank < config.numBanks; ++bank) {
-        probeSink->onBankVote(
-            {pc, bank, bank_predictions[bank], overall, taken});
-    }
-
-    const bool partial =
-        config.updatePolicy == UpdatePolicy::Partial ||
-        config.updatePolicy == UpdatePolicy::PartialLazy;
-    for (unsigned bank = 0; bank < config.numBanks; ++bank) {
-        const bool bank_correct = bank_predictions[bank] == taken;
-        if (partial && overall_correct && !bank_correct) {
-            probeSink->onUpdateSkip(
-                {bank, UpdateSkipEvent::Reason::PartialProtect});
-            continue;
-        }
-        if (config.updatePolicy == UpdatePolicy::PartialLazy &&
-            bank_correct) {
-            const u8 value = banks.value(bank, indices[bank]);
-            const u8 saturated = taken
-                ? static_cast<u8>(mask(config.counterBits))
-                : u8(0);
-            if (value == saturated) {
-                probeSink->onUpdateSkip(
-                    {bank, UpdateSkipEvent::Reason::LazySaturated});
-                continue;
-            }
-        }
-        const u8 before = banks.value(bank, indices[bank]);
-        banks.update(bank, indices[bank], taken);
-        const u8 after = banks.value(bank, indices[bank]);
-        if (before != after) {
-            probeSink->onCounterWrite({bank, before, after});
-        }
-        ++bankWriteCount;
-    }
-    history.shiftIn(taken);
-}
-
-void
-SkewedPredictor::notifyUnconditional(Addr)
-{
-    history.shiftIn(true);
+                    fillSkewIndexGroup(
+                        SimdMode::Avx2, pcs, hists, conditionals,
+                        config.historyBits, config.bankIndexBits,
+                        NumBanks, outs,
+                        config.enhanced
+                            ? scratch.indices[0].data()
+                            : nullptr);
+                }
+                const u32 *idx[NumBanks];
+                for (unsigned bank = 0; bank < NumBanks; ++bank) {
+                    idx[bank] = identical
+                        ? scratch.indices[0].data()
+                        : scratch.indices[bank].data();
+                }
+                resolveSkewedBanks(
+                    state.banks, idx, scratch.taken.data(),
+                    conditionals, partial, lazy, prefetch, counters,
+                    bankWriteCount,
+                    [&](unsigned bank, std::size_t j) -> u64 {
+                        return skewedBankIndex(config, bank, pcs[j],
+                                               hists[j]);
+                    });
+            });
+        history.set(history_out);
+        return true;
+    });
 }
 
 std::string
@@ -521,6 +349,8 @@ SkewedPredictor::loadState(std::istream &is)
     history.set(getU64(is));
     bankWriteCount = getU64(is);
 }
+
+template class BlockPredictor<SkewedPredictor>;
 
 SkewedPredictor::Config
 makeEnhancedConfig(unsigned bank_index_bits, unsigned history_bits,

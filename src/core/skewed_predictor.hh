@@ -8,7 +8,9 @@
 
 #include <vector>
 
+#include "core/skew.hh"
 #include "predictors/history.hh"
+#include "predictors/info_vector.hh"
 #include "predictors/predictor.hh"
 #include "support/sat_counter.hh"
 
@@ -67,7 +69,7 @@ enum class BankIndexing
  * "history" (none) keeps its last-use distances small and its vote
  * trustworthy — recovering capacity without giving up history.
  */
-class SkewedPredictor : public Predictor
+class SkewedPredictor : public BlockPredictor<SkewedPredictor>
 {
   public:
     /** Aggregated configuration (named-parameter construction). */
@@ -101,13 +103,6 @@ class SkewedPredictor : public Predictor
                     UpdatePolicy policy = UpdatePolicy::Partial,
                     unsigned counter_bits = 2);
 
-    bool predict(Addr pc) override;
-    void update(Addr pc, bool taken) override;
-    Outcome predictAndUpdate(Addr pc, bool taken) override;
-    void replayBlock(const BranchRecord *records, std::size_t count,
-                     ReplayCounters &counters,
-                     ReplayScratch *scratch) override;
-    void notifyUnconditional(Addr pc) override;
     std::string name() const override;
     u64 storageBits() const override;
     void reset() override;
@@ -140,26 +135,26 @@ class SkewedPredictor : public Predictor
     u64 bankWrites() const { return bankWriteCount; }
 
   private:
+    friend class BlockPredictor<SkewedPredictor>;
+
+    /** One instantiation per bank count the skewing family admits. */
+    template <unsigned NumBanks>
+    struct State;
+
+    /** Dispatch on the bank count to State<NumBanks>. */
+    template <typename Fn>
+    decltype(auto) withState(Fn &&fn);
+
+    bool replayPhaseSplit(const BranchRecord *records,
+                          std::size_t count, ReplayCounters &counters,
+                          ReplayScratch &scratch);
+
     /**
      * Validate @p config (fatal() on a bad bank count / geometry)
      * and pass it through — runs in the member-initializer list so
      * the checks precede the bank-group construction.
      */
     static const Config &validated(const Config &config);
-
-    u64 bankIndexOf(unsigned bank, Addr pc) const;
-
-    /**
-     * The shared no-probe resolution pass: one index computation
-     * and at most one counter touch per bank, applying the update
-     * policy. Returns the pre-update majority prediction — so
-     * update() and the fused predictAndUpdate() cannot drift apart.
-     */
-    bool updateUnprobed(Addr pc, bool taken);
-
-    /** The whole update() when a probe is attached (kept out of the
-     * hot path so the uninstrumented loop carries no probe checks). */
-    void updateProbed(Addr pc, bool taken);
 
     Config config;
 
@@ -174,6 +169,30 @@ class SkewedPredictor : public Predictor
     GlobalHistory history;
     u64 bankWriteCount = 0;
 };
+
+/**
+ * The index bank @p bank of a skewed predictor configured by
+ * @p config uses for (@p pc, @p history): the skewing function f_bank
+ * of the packed information vector, the address alone for e-gskew's
+ * bank 0, or plain gshare under BankIndexing::IdenticalGshare. The
+ * one definition behind gskewed, e-gskew and their shared-hysteresis
+ * variants.
+ */
+[[gnu::always_inline]] inline u64
+skewedBankIndex(const SkewedPredictor::Config &config, unsigned bank,
+                Addr pc, u64 history)
+{
+    if (config.indexing == BankIndexing::IdenticalGshare) {
+        return gshareIndex(pc, history, config.historyBits,
+                           config.bankIndexBits);
+    }
+    if (config.enhanced && bank == 0) {
+        // e-gskew: bank 0 sees the address alone (bit truncation).
+        return addressIndex(pc, config.bankIndexBits);
+    }
+    return skewIndex(bank, packInfoVector(pc, history, config.historyBits),
+                     config.bankIndexBits);
+}
 
 /** Convenience alias constructor for the §6 enhanced predictor. */
 SkewedPredictor::Config makeEnhancedConfig(unsigned bank_index_bits,

@@ -40,8 +40,7 @@ measureModelInputs(const Trace &trace, unsigned history_bits)
         if (record.taken) {
             ++counts.taken;
         }
-        unaliased.predict(record.pc);
-        unaliased.update(record.pc, record.taken);
+        unaliased.predictAndUpdate(record.pc, record.taken);
         history.shiftIn(record.taken);
     }
 

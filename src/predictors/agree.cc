@@ -1,5 +1,6 @@
 #include "predictors/agree.hh"
 
+#include "predictors/block_kernel.hh"
 #include "predictors/info_vector.hh"
 #include "support/logging.hh"
 #include "support/probe.hh"
@@ -13,6 +14,54 @@ namespace
 {
 constexpr u8 biasUnset = 2;
 } // namespace
+
+/** Agree state lifted into locals (see block_kernel.hh). */
+struct AgreePredictor::State
+{
+    SatCounterArray::View agreeTable;
+    u8 *biasTable;
+    GlobalHistory history;
+    unsigned indexBits;
+    unsigned historyBits;
+    unsigned biasIndexBits;
+    GlobalHistory *historyOut;
+
+    u64
+    agreeIndex(Addr pc) const
+    {
+        return gshareIndex(pc, history.raw(), historyBits, indexBits);
+    }
+
+    bool
+    predict(Addr pc) const
+    {
+        // An unset bias (2) reads as taken (static heuristic).
+        const bool bias = biasTable[addressIndex(pc, biasIndexBits)] != 0;
+        return agreeTable.predictTaken(agreeIndex(pc)) == bias;
+    }
+
+    template <typename Sink>
+    bool
+    step(Addr pc, bool taken, Sink &sink)
+    {
+        const bool prediction = predict(pc);
+        if constexpr (publishes<Sink>) {
+            sink.onResolved({pc, prediction, taken});
+        }
+        u8 &bias = biasTable[addressIndex(pc, biasIndexBits)];
+        if (bias == biasUnset) {
+            // First encounter: the observed outcome becomes the bias.
+            bias = taken ? 1 : 0;
+        }
+        trainCounter(agreeTable, agreeIndex(pc), taken == (bias != 0),
+                     sink);
+        history.shiftIn(taken);
+        return prediction;
+    }
+
+    void unconditional(Addr) { history.shiftIn(true); }
+    void commit() { *historyOut = history; }
+};
 
 AgreePredictor::AgreePredictor(unsigned index_bits,
                                unsigned history_bits,
@@ -29,74 +78,11 @@ AgreePredictor::AgreePredictor(unsigned index_bits,
 {
 }
 
-bool
-AgreePredictor::biasOf(Addr pc) const
+AgreePredictor::State
+AgreePredictor::state()
 {
-    const u8 bias = biasTable[addressIndex(pc, biasIndexBits)];
-    // Unset bias defaults to taken (static heuristic).
-    return bias == biasUnset ? true : bias != 0;
-}
-
-bool
-AgreePredictor::predict(Addr pc)
-{
-    const u64 index =
-        gshareIndex(pc, history.raw(), historyBits, indexBits);
-    const bool agree = agreeTable.predictTaken(index);
-    const bool bias = biasOf(pc);
-    return agree ? bias : !bias;
-}
-
-void
-AgreePredictor::update(Addr pc, bool taken)
-{
-    // Dispatch before any work so the no-sink path keeps nothing
-    // live across the probed helper's virtual sink calls (which
-    // would force a stack frame on the hot path).
-    if (probeSink) [[unlikely]] {
-        updateProbed(pc, taken);
-        return;
-    }
-    u8 &bias_entry = biasTable[addressIndex(pc, biasIndexBits)];
-    const u64 index =
-        gshareIndex(pc, history.raw(), historyBits, indexBits);
-    if (bias_entry == biasUnset) {
-        // First encounter: the observed outcome becomes the bias.
-        bias_entry = taken ? 1 : 0;
-    }
-    agreeTable.update(index, taken == (bias_entry != 0));
-    history.shiftIn(taken);
-}
-
-void
-AgreePredictor::updateProbed(Addr pc, bool taken)
-{
-    u8 &bias_entry = biasTable[addressIndex(pc, biasIndexBits)];
-    const u64 index =
-        gshareIndex(pc, history.raw(), historyBits, indexBits);
-    // Resolve with the pre-update bias, as predict() saw it.
-    const bool predicted_bias =
-        bias_entry == biasUnset ? true : bias_entry != 0;
-    const bool agree = agreeTable.predictTaken(index);
-    probeSink->onResolved(
-        {pc, agree ? predicted_bias : !predicted_bias, taken});
-    if (bias_entry == biasUnset) {
-        bias_entry = taken ? 1 : 0;
-    }
-    const bool bias = bias_entry != 0;
-    const u8 before = agreeTable.value(index);
-    agreeTable.update(index, taken == bias);
-    const u8 after = agreeTable.value(index);
-    if (before != after) {
-        probeSink->onCounterWrite({0, before, after});
-    }
-    history.shiftIn(taken);
-}
-
-void
-AgreePredictor::notifyUnconditional(Addr)
-{
-    history.shiftIn(true);
+    return {agreeTable.view(), biasTable.data(), history, indexBits,
+            historyBits, biasIndexBits, &history};
 }
 
 std::string
@@ -153,5 +139,7 @@ AgreePredictor::loadState(std::istream &is)
     biasTable = std::move(restored);
     history.set(getU64(is));
 }
+
+template class BlockPredictor<AgreePredictor>;
 
 } // namespace bpred

@@ -30,7 +30,7 @@ namespace bpred
  * in a direct-mapped, PC-indexed table (standing in for bias
  * storage alongside a BTB entry).
  */
-class AgreePredictor : public Predictor
+class AgreePredictor : public BlockPredictor<AgreePredictor>
 {
   public:
     /**
@@ -42,9 +42,6 @@ class AgreePredictor : public Predictor
     AgreePredictor(unsigned index_bits, unsigned history_bits,
                    unsigned bias_index_bits, unsigned counter_bits = 2);
 
-    bool predict(Addr pc) override;
-    void update(Addr pc, bool taken) override;
-    void notifyUnconditional(Addr pc) override;
     std::string name() const override;
     u64 storageBits() const override;
     void reset() override;
@@ -53,11 +50,10 @@ class AgreePredictor : public Predictor
     void loadState(std::istream &is) override;
 
   private:
-    bool biasOf(Addr pc) const;
+    friend class BlockPredictor<AgreePredictor>;
+    struct State;
 
-    /** The whole update() when a probe is attached (kept out of the
-     * hot path so the uninstrumented loop stays frameless). */
-    void updateProbed(Addr pc, bool taken);
+    State state();
 
     SatCounterArray agreeTable;
     /** Bias bit per entry; 2 = unset (first encounter pending). */

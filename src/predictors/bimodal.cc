@@ -10,33 +10,35 @@
 namespace bpred
 {
 
-namespace
-{
-
 /**
  * Bimodal hot state lifted into locals (see block_kernel.hh): the
- * raw counter view and index width live in registers for the whole
+ * raw counter view and index width live in registers for a whole
  * block instead of being re-loaded after every counter store.
  */
-struct BimodalBlockState
+struct BimodalPredictor::State
 {
     SatCounterArray::View table;
     unsigned indexBits;
 
     bool
-    step(Addr pc, bool taken)
+    predict(Addr pc) const
+    {
+        return table.predictTaken(addressIndex(pc, indexBits));
+    }
+
+    template <typename Sink>
+    bool
+    step(Addr pc, bool taken, Sink &sink)
     {
         const u64 index = addressIndex(pc, indexBits);
         const bool prediction = table.predictTaken(index);
-        table.update(index, taken);
+        if constexpr (publishes<Sink>) {
+            sink.onResolved({pc, prediction, taken});
+        }
+        trainCounter(table, index, taken, sink);
         return prediction;
     }
-
-    void unconditional(Addr) {}
-    void commit() {}
 };
-
-} // namespace
 
 BimodalPredictor::BimodalPredictor(unsigned index_bits,
                                    unsigned counter_bits)
@@ -45,96 +47,41 @@ BimodalPredictor::BimodalPredictor(unsigned index_bits,
 {
 }
 
-u64
-BimodalPredictor::indexOf(Addr pc) const
+BimodalPredictor::State
+BimodalPredictor::state()
 {
-    return addressIndex(pc, indexBits);
+    return {table.view(), indexBits};
 }
 
 bool
-BimodalPredictor::predict(Addr pc)
+BimodalPredictor::replayPhaseSplit(const BranchRecord *records,
+                                   std::size_t count,
+                                   ReplayCounters &counters,
+                                   ReplayScratch &scratch)
 {
-    return table.predictTaken(indexOf(pc));
-}
-
-void
-BimodalPredictor::update(Addr pc, bool taken)
-{
-    // Dispatch before any work so the no-sink path keeps nothing
-    // live across the probed helper's virtual sink calls (which
-    // would force a stack frame on the hot path).
-    if (probeSink) [[unlikely]] {
-        updateProbed(pc, taken);
-        return;
+    if (!simdIndexWidthOk(indexBits) ||
+        resolveSimdMode(scratch.mode) != SimdMode::Avx2) {
+        return false;
     }
-    table.update(indexOf(pc), taken);
-}
-
-Outcome
-BimodalPredictor::predictAndUpdate(Addr pc, bool taken)
-{
-    if (probeSink) [[unlikely]] {
-        // The probed path is off the hot loop; reuse the split
-        // implementation so event order stays identical to
-        // predict()+update().
-        const bool prediction = predict(pc);
-        updateProbed(pc, taken);
-        return {prediction};
-    }
-    const u64 index = indexOf(pc);
-    const bool prediction = table.predictTaken(index);
-    table.update(index, taken);
-    return {prediction};
-}
-
-void
-BimodalPredictor::replayBlock(const BranchRecord *records,
-                              std::size_t count,
-                              ReplayCounters &counters,
-                              ReplayScratch *scratch)
-{
-    if (probeSink) [[unlikely]] {
-        // Scalar delegation keeps the event stream bit-identical.
-        Predictor::replayBlock(records, count, counters);
-        return;
-    }
-    if (scratch && simdIndexWidthOk(indexBits) &&
-        resolveSimdMode(scratch->mode) == SimdMode::Avx2) {
-        // Phase-split path (block_kernel_simd.hh): the address index
-        // has no history dependence at all, so each tile's indices
-        // vectorize up front.
-        const bool prefetch = simdWantsCounterPrefetch(table.size());
-        replayTiled(
-            records, count, 0, *scratch, 1,
-            [&](std::size_t conditionals) {
-                fillAddressIndices(SimdMode::Avx2, scratch->pc.data(),
-                                   conditionals, indexBits,
-                                   scratch->indices[0].data());
-                resolveSingleTable(
-                    table.view(), scratch->indices[0].data(),
-                    scratch->taken.data(), conditionals, prefetch,
-                    counters, [&](std::size_t j) {
-                        return u64(addressIndex(scratch->pc[j],
-                                                indexBits));
-                    });
-            });
-        return;
-    }
-    replayBlockWithState(BimodalBlockState{table.view(), indexBits},
-                         records, count, counters);
-}
-
-void
-BimodalPredictor::updateProbed(Addr pc, bool taken)
-{
-    const u64 index = indexOf(pc);
-    probeSink->onResolved({pc, table.predictTaken(index), taken});
-    const u8 before = table.value(index);
-    table.update(index, taken);
-    const u8 after = table.value(index);
-    if (before != after) {
-        probeSink->onCounterWrite({0, before, after});
-    }
+    // Phase-split path (block_kernel_simd.hh): the address index has
+    // no history dependence at all, so each tile's indices vectorize
+    // up front.
+    const bool prefetch = simdWantsCounterPrefetch(table.size());
+    replayTiled(records, count, 0, scratch, 1,
+                [&](std::size_t conditionals) {
+                    fillAddressIndices(SimdMode::Avx2,
+                                       scratch.pc.data(), conditionals,
+                                       indexBits,
+                                       scratch.indices[0].data());
+                    resolveSingleTable(
+                        table.view(), scratch.indices[0].data(),
+                        scratch.taken.data(), conditionals, prefetch,
+                        counters, [&](std::size_t j) {
+                            return u64(addressIndex(scratch.pc[j],
+                                                    indexBits));
+                        });
+                });
+    return true;
 }
 
 std::string
@@ -160,5 +107,7 @@ BimodalPredictor::loadState(std::istream &is)
 {
     table.loadState(is);
 }
+
+template class BlockPredictor<BimodalPredictor>;
 
 } // namespace bpred

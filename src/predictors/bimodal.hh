@@ -18,7 +18,7 @@ namespace bpred
  * it anchors the baseline comparisons and serves as the bimodal
  * component of the McFarling hybrid.
  */
-class BimodalPredictor : public Predictor
+class BimodalPredictor : public BlockPredictor<BimodalPredictor>
 {
   public:
     /**
@@ -27,12 +27,6 @@ class BimodalPredictor : public Predictor
      */
     BimodalPredictor(unsigned index_bits, unsigned counter_bits = 2);
 
-    bool predict(Addr pc) override;
-    void update(Addr pc, bool taken) override;
-    Outcome predictAndUpdate(Addr pc, bool taken) override;
-    void replayBlock(const BranchRecord *records, std::size_t count,
-                     ReplayCounters &counters,
-                     ReplayScratch *scratch) override;
     std::string name() const override;
     u64 storageBits() const override { return table.storageBits(); }
     void reset() override;
@@ -41,11 +35,13 @@ class BimodalPredictor : public Predictor
     void loadState(std::istream &is) override;
 
   private:
-    u64 indexOf(Addr pc) const;
+    friend class BlockPredictor<BimodalPredictor>;
+    struct State;
 
-    /** The whole update() when a probe is attached (kept out of the
-     * hot path so the uninstrumented loop stays frameless). */
-    void updateProbed(Addr pc, bool taken);
+    State state();
+    bool replayPhaseSplit(const BranchRecord *records,
+                          std::size_t count, ReplayCounters &counters,
+                          ReplayScratch &scratch);
 
     SatCounterArray table;
     unsigned indexBits;

@@ -1,11 +1,64 @@
 #include "predictors/bimode.hh"
 
+#include "predictors/block_kernel.hh"
 #include "predictors/info_vector.hh"
 #include "support/serialize.hh"
 #include "support/table.hh"
 
 namespace bpred
 {
+
+/** Bi-mode state lifted into locals (see block_kernel.hh). */
+struct BiModePredictor::State
+{
+    SatCounterArray::View takenTable;
+    SatCounterArray::View notTakenTable;
+    SatCounterArray::View choiceTable;
+    GlobalHistory history;
+    unsigned directionIndexBits;
+    unsigned historyBits;
+    unsigned choiceIndexBits;
+    GlobalHistory *historyOut;
+
+    bool
+    predict(Addr pc) const
+    {
+        const bool choose_taken =
+            choiceTable.predictTaken(addressIndex(pc, choiceIndexBits));
+        return (choose_taken ? takenTable : notTakenTable)
+            .predictTaken(gshareIndex(pc, history.raw(), historyBits,
+                                      directionIndexBits));
+    }
+
+    template <typename Sink>
+    bool
+    step(Addr pc, bool taken, Sink &)
+    {
+        const u64 choice_index = addressIndex(pc, choiceIndexBits);
+        const bool choose_taken = choiceTable.predictTaken(choice_index);
+        const u64 index = gshareIndex(pc, history.raw(), historyBits,
+                                      directionIndexBits);
+        SatCounterArray::View selected =
+            choose_taken ? takenTable : notTakenTable;
+        const bool prediction = selected.predictTaken(index);
+
+        // Only the selected direction table trains — the segregation
+        // that keeps each table's population like-minded.
+        selected.update(index, taken);
+
+        // Choice partial update: leave the choice alone when it
+        // "mischose" but the selected table still got the branch
+        // right.
+        if (!(choose_taken != taken && prediction == taken)) {
+            choiceTable.update(choice_index, taken);
+        }
+        history.shiftIn(taken);
+        return prediction;
+    }
+
+    void unconditional(Addr) { history.shiftIn(true); }
+    void commit() { *historyOut = history; }
+};
 
 BiModePredictor::BiModePredictor(unsigned direction_index_bits,
                                  unsigned history_bits,
@@ -23,51 +76,12 @@ BiModePredictor::BiModePredictor(unsigned direction_index_bits,
 {
 }
 
-u64
-BiModePredictor::directionIndexOf(Addr pc) const
+BiModePredictor::State
+BiModePredictor::state()
 {
-    return gshareIndex(pc, history.raw(), historyBits,
-                       directionIndexBits);
-}
-
-bool
-BiModePredictor::predict(Addr pc)
-{
-    const bool choose_taken =
-        choiceTable.predictTaken(addressIndex(pc, choiceIndexBits));
-    const u64 index = directionIndexOf(pc);
-    return choose_taken ? takenTable.predictTaken(index)
-                        : notTakenTable.predictTaken(index);
-}
-
-void
-BiModePredictor::update(Addr pc, bool taken)
-{
-    const u64 choice_index = addressIndex(pc, choiceIndexBits);
-    const bool choose_taken = choiceTable.predictTaken(choice_index);
-    const u64 index = directionIndexOf(pc);
-
-    SatCounterArray &selected =
-        choose_taken ? takenTable : notTakenTable;
-    const bool selected_correct =
-        selected.predictTaken(index) == taken;
-
-    // Only the selected direction table trains — the segregation
-    // that keeps each table's population like-minded.
-    selected.update(index, taken);
-
-    // Choice partial update: leave the choice alone when it
-    // "mischose" but the selected table still got the branch right.
-    if (!(choose_taken != taken && selected_correct)) {
-        choiceTable.update(choice_index, taken);
-    }
-    history.shiftIn(taken);
-}
-
-void
-BiModePredictor::notifyUnconditional(Addr)
-{
-    history.shiftIn(true);
+    return {takenTable.view(), notTakenTable.view(), choiceTable.view(),
+            history,           directionIndexBits,   historyBits,
+            choiceIndexBits,   &history};
 }
 
 std::string
@@ -112,5 +126,7 @@ BiModePredictor::loadState(std::istream &is)
     choiceTable.loadState(is);
     history.set(getU64(is));
 }
+
+template class BlockPredictor<BiModePredictor>;
 
 } // namespace bpred

@@ -24,7 +24,7 @@ namespace bpred
  * it disagreed but the selected table was nevertheless correct
  * (the bi-mode partial-update rule).
  */
-class BiModePredictor : public Predictor
+class BiModePredictor : public BlockPredictor<BiModePredictor>
 {
   public:
     /**
@@ -38,9 +38,6 @@ class BiModePredictor : public Predictor
                     unsigned choice_index_bits,
                     unsigned counter_bits = 2);
 
-    bool predict(Addr pc) override;
-    void update(Addr pc, bool taken) override;
-    void notifyUnconditional(Addr pc) override;
     std::string name() const override;
     u64 storageBits() const override;
     void reset() override;
@@ -49,7 +46,10 @@ class BiModePredictor : public Predictor
     void loadState(std::istream &is) override;
 
   private:
-    u64 directionIndexOf(Addr pc) const;
+    friend class BlockPredictor<BiModePredictor>;
+    struct State;
+
+    State state();
 
     SatCounterArray takenTable;
     SatCounterArray notTakenTable;

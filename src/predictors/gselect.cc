@@ -10,14 +10,11 @@
 namespace bpred
 {
 
-namespace
-{
-
 /**
  * gselect hot state lifted into locals (see block_kernel.hh);
- * mirrors GShareBlockState with the concatenating index function.
+ * mirrors gshare's State with the concatenating index function.
  */
-struct GSelectBlockState
+struct GSelectPredictor::State
 {
     SatCounterArray::View table;
     GlobalHistory history;
@@ -25,11 +22,23 @@ struct GSelectBlockState
     unsigned indexBits;
     GlobalHistory *historyOut;
 
-    bool
-    step(Addr pc, bool taken)
+    u64
+    indexOf(Addr pc) const
     {
-        const u64 index =
-            gselectIndex(pc, history.raw(), historyBits, indexBits);
+        return gselectIndex(pc, history.raw(), historyBits, indexBits);
+    }
+
+    bool
+    predict(Addr pc) const
+    {
+        return table.predictTaken(indexOf(pc));
+    }
+
+    template <typename Sink>
+    bool
+    step(Addr pc, bool taken, Sink &)
+    {
+        const u64 index = indexOf(pc);
         const bool prediction = table.predictTaken(index);
         table.update(index, taken);
         history.shiftIn(taken);
@@ -40,8 +49,6 @@ struct GSelectBlockState
     void commit() { *historyOut = history; }
 };
 
-} // namespace
-
 GSelectPredictor::GSelectPredictor(unsigned index_bits,
                                    unsigned history_bits,
                                    unsigned counter_bits)
@@ -51,82 +58,43 @@ GSelectPredictor::GSelectPredictor(unsigned index_bits,
 {
 }
 
-u64
-GSelectPredictor::indexOf(Addr pc) const
+GSelectPredictor::State
+GSelectPredictor::state()
 {
-    return gselectIndex(pc, history.raw(), historyBits_, indexBits);
+    return {table.view(), history, historyBits_, indexBits, &history};
 }
 
 bool
-GSelectPredictor::predict(Addr pc)
+GSelectPredictor::replayPhaseSplit(const BranchRecord *records,
+                                   std::size_t count,
+                                   ReplayCounters &counters,
+                                   ReplayScratch &scratch)
 {
-    return table.predictTaken(indexOf(pc));
-}
-
-void
-GSelectPredictor::update(Addr pc, bool taken)
-{
-    table.update(indexOf(pc), taken);
-    history.shiftIn(taken);
-}
-
-Outcome
-GSelectPredictor::predictAndUpdate(Addr pc, bool taken)
-{
-    const u64 index = indexOf(pc);
-    const bool prediction = table.predictTaken(index);
-    table.update(index, taken);
-    history.shiftIn(taken);
-    return {prediction};
-}
-
-void
-GSelectPredictor::replayBlock(const BranchRecord *records,
-                              std::size_t count,
-                              ReplayCounters &counters,
-                              ReplayScratch *scratch)
-{
-    if (probeSink) [[unlikely]] {
-        // Scalar delegation keeps any future event stream identical.
-        Predictor::replayBlock(records, count, counters);
-        return;
+    if (!simdIndexWidthOk(indexBits) ||
+        resolveSimdMode(scratch.mode) != SimdMode::Avx2) {
+        return false;
     }
-    if (scratch && simdIndexWidthOk(indexBits) &&
-        resolveSimdMode(scratch->mode) == SimdMode::Avx2) {
-        // Phase-split path (block_kernel_simd.hh); see gshare.cc for
-        // why the speculative history advance is exact.
-        const bool prefetch = simdWantsCounterPrefetch(table.size());
-        const u64 history_out = replayTiled(
-            records, count, history.raw(), *scratch, 1,
-            [&](std::size_t conditionals) {
-                fillGselectIndices(SimdMode::Avx2, scratch->pc.data(),
-                                   scratch->history.data(),
-                                   conditionals, historyBits_,
-                                   indexBits,
-                                   scratch->indices[0].data());
-                resolveSingleTable(
-                    table.view(), scratch->indices[0].data(),
-                    scratch->taken.data(), conditionals, prefetch,
-                    counters, [&](std::size_t j) {
-                        return u64(gselectIndex(scratch->pc[j],
-                                                scratch->history[j],
-                                                historyBits_,
-                                                indexBits));
-                    });
-            });
-        history.set(history_out);
-        return;
-    }
-    replayBlockWithState(
-        GSelectBlockState{table.view(), history, historyBits_, indexBits,
-                          &history},
-        records, count, counters);
-}
-
-void
-GSelectPredictor::notifyUnconditional(Addr)
-{
-    history.shiftIn(true);
+    // Phase-split path (block_kernel_simd.hh); see gshare.cc for why
+    // the speculative history advance is exact.
+    const bool prefetch = simdWantsCounterPrefetch(table.size());
+    const u64 history_out = replayTiled(
+        records, count, history.raw(), scratch, 1,
+        [&](std::size_t conditionals) {
+            fillGselectIndices(SimdMode::Avx2, scratch.pc.data(),
+                               scratch.history.data(), conditionals,
+                               historyBits_, indexBits,
+                               scratch.indices[0].data());
+            resolveSingleTable(
+                table.view(), scratch.indices[0].data(),
+                scratch.taken.data(), conditionals, prefetch,
+                counters, [&](std::size_t j) {
+                    return u64(gselectIndex(scratch.pc[j],
+                                            scratch.history[j],
+                                            historyBits_, indexBits));
+                });
+        });
+    history.set(history_out);
+    return true;
 }
 
 std::string
@@ -156,5 +124,7 @@ GSelectPredictor::loadState(std::istream &is)
     table.loadState(is);
     history.set(getU64(is));
 }
+
+template class BlockPredictor<GSelectPredictor>;
 
 } // namespace bpred

@@ -19,7 +19,7 @@ namespace bpred
  * index width, no address bits survive, the degenerate case behind
  * its poor 12-bit-history results in the paper.
  */
-class GSelectPredictor : public Predictor
+class GSelectPredictor : public BlockPredictor<GSelectPredictor>
 {
   public:
     /**
@@ -30,13 +30,6 @@ class GSelectPredictor : public Predictor
     GSelectPredictor(unsigned index_bits, unsigned history_bits,
                      unsigned counter_bits = 2);
 
-    bool predict(Addr pc) override;
-    void update(Addr pc, bool taken) override;
-    Outcome predictAndUpdate(Addr pc, bool taken) override;
-    void replayBlock(const BranchRecord *records, std::size_t count,
-                     ReplayCounters &counters,
-                     ReplayScratch *scratch) override;
-    void notifyUnconditional(Addr pc) override;
     std::string name() const override;
     u64 storageBits() const override { return table.storageBits(); }
     void reset() override;
@@ -48,7 +41,13 @@ class GSelectPredictor : public Predictor
     unsigned historyBits() const { return historyBits_; }
 
   private:
-    u64 indexOf(Addr pc) const;
+    friend class BlockPredictor<GSelectPredictor>;
+    struct State;
+
+    State state();
+    bool replayPhaseSplit(const BranchRecord *records,
+                          std::size_t count, ReplayCounters &counters,
+                          ReplayScratch &scratch);
 
     SatCounterArray table;
     GlobalHistory history;

@@ -11,16 +11,13 @@
 namespace bpred
 {
 
-namespace
-{
-
 /**
  * gshare hot state lifted into locals (see block_kernel.hh): the
  * counter view, a by-value copy of the history register, and the
- * index geometry stay in registers across the block; commit()
+ * index geometry stay in registers across a block; commit()
  * publishes the advanced history back to the predictor.
  */
-struct GShareBlockState
+struct GSharePredictor::State
 {
     SatCounterArray::View table;
     GlobalHistory history;
@@ -28,13 +25,28 @@ struct GShareBlockState
     unsigned indexBits;
     GlobalHistory *historyOut;
 
-    bool
-    step(Addr pc, bool taken)
+    u64
+    indexOf(Addr pc) const
     {
-        const u64 index =
-            gshareIndex(pc, history.raw(), historyBits, indexBits);
+        return gshareIndex(pc, history.raw(), historyBits, indexBits);
+    }
+
+    bool
+    predict(Addr pc) const
+    {
+        return table.predictTaken(indexOf(pc));
+    }
+
+    template <typename Sink>
+    bool
+    step(Addr pc, bool taken, Sink &sink)
+    {
+        const u64 index = indexOf(pc);
         const bool prediction = table.predictTaken(index);
-        table.update(index, taken);
+        if constexpr (publishes<Sink>) {
+            sink.onResolved({pc, prediction, taken});
+        }
+        trainCounter(table, index, taken, sink);
         history.shiftIn(taken);
         return prediction;
     }
@@ -42,8 +54,6 @@ struct GShareBlockState
     void unconditional(Addr) { history.shiftIn(true); }
     void commit() { *historyOut = history; }
 };
-
-} // namespace
 
 GSharePredictor::GSharePredictor(unsigned index_bits,
                                  unsigned history_bits,
@@ -54,112 +64,44 @@ GSharePredictor::GSharePredictor(unsigned index_bits,
 {
 }
 
-u64
-GSharePredictor::indexOf(Addr pc) const
+GSharePredictor::State
+GSharePredictor::state()
 {
-    return gshareIndex(pc, history.raw(), historyBits_, indexBits);
+    return {table.view(), history, historyBits_, indexBits, &history};
 }
 
 bool
-GSharePredictor::predict(Addr pc)
+GSharePredictor::replayPhaseSplit(const BranchRecord *records,
+                                  std::size_t count,
+                                  ReplayCounters &counters,
+                                  ReplayScratch &scratch)
 {
-    return table.predictTaken(indexOf(pc));
-}
-
-void
-GSharePredictor::update(Addr pc, bool taken)
-{
-    // Dispatch before any work so the no-sink path keeps nothing
-    // live across a call with unknown clobbers (the probed helper's
-    // virtual sink calls) — that would force a stack frame on the
-    // hot path.
-    if (probeSink) [[unlikely]] {
-        updateProbed(pc, taken);
-        return;
+    if (!simdIndexWidthOk(indexBits) ||
+        resolveSimdMode(scratch.mode) != SimdMode::Avx2) {
+        return false;
     }
-    table.update(indexOf(pc), taken);
-    history.shiftIn(taken);
-}
-
-Outcome
-GSharePredictor::predictAndUpdate(Addr pc, bool taken)
-{
-    if (probeSink) [[unlikely]] {
-        // Off the hot loop; reuse the split implementation so event
-        // order stays identical to predict()+update().
-        const bool prediction = predict(pc);
-        updateProbed(pc, taken);
-        return {prediction};
-    }
-    const u64 index = indexOf(pc);
-    const bool prediction = table.predictTaken(index);
-    table.update(index, taken);
-    history.shiftIn(taken);
-    return {prediction};
-}
-
-void
-GSharePredictor::replayBlock(const BranchRecord *records,
-                             std::size_t count,
-                             ReplayCounters &counters,
-                             ReplayScratch *scratch)
-{
-    if (probeSink) [[unlikely]] {
-        // Scalar delegation keeps the event stream bit-identical.
-        Predictor::replayBlock(records, count, counters);
-        return;
-    }
-    if (scratch && simdIndexWidthOk(indexBits) &&
-        resolveSimdMode(scratch->mode) == SimdMode::Avx2) {
-        // Phase-split path (block_kernel_simd.hh): history is
-        // outcome-determined, so compaction's speculative advance is
-        // exact and each tile's indices vectorize up front.
-        const bool prefetch = simdWantsCounterPrefetch(table.size());
-        const u64 history_out = replayTiled(
-            records, count, history.raw(), *scratch, 1,
-            [&](std::size_t conditionals) {
-                fillGshareIndices(SimdMode::Avx2, scratch->pc.data(),
-                                  scratch->history.data(),
-                                  conditionals, historyBits_,
-                                  indexBits,
-                                  scratch->indices[0].data());
-                resolveSingleTable(
-                    table.view(), scratch->indices[0].data(),
-                    scratch->taken.data(), conditionals, prefetch,
-                    counters, [&](std::size_t j) {
-                        return u64(gshareIndex(scratch->pc[j],
-                                               scratch->history[j],
-                                               historyBits_,
-                                               indexBits));
-                    });
-            });
-        history.set(history_out);
-        return;
-    }
-    replayBlockWithState(
-        GShareBlockState{table.view(), history, historyBits_, indexBits,
-                         &history},
-        records, count, counters);
-}
-
-void
-GSharePredictor::updateProbed(Addr pc, bool taken)
-{
-    const u64 index = indexOf(pc);
-    probeSink->onResolved({pc, table.predictTaken(index), taken});
-    const u8 before = table.value(index);
-    table.update(index, taken);
-    const u8 after = table.value(index);
-    if (before != after) {
-        probeSink->onCounterWrite({0, before, after});
-    }
-    history.shiftIn(taken);
-}
-
-void
-GSharePredictor::notifyUnconditional(Addr)
-{
-    history.shiftIn(true);
+    // Phase-split path (block_kernel_simd.hh): history is
+    // outcome-determined, so compaction's speculative advance is
+    // exact and each tile's indices vectorize up front.
+    const bool prefetch = simdWantsCounterPrefetch(table.size());
+    const u64 history_out = replayTiled(
+        records, count, history.raw(), scratch, 1,
+        [&](std::size_t conditionals) {
+            fillGshareIndices(SimdMode::Avx2, scratch.pc.data(),
+                              scratch.history.data(), conditionals,
+                              historyBits_, indexBits,
+                              scratch.indices[0].data());
+            resolveSingleTable(
+                table.view(), scratch.indices[0].data(),
+                scratch.taken.data(), conditionals, prefetch,
+                counters, [&](std::size_t j) {
+                    return u64(gshareIndex(scratch.pc[j],
+                                           scratch.history[j],
+                                           historyBits_, indexBits));
+                });
+        });
+    history.set(history_out);
+    return true;
 }
 
 std::string
@@ -189,5 +131,7 @@ GSharePredictor::loadState(std::istream &is)
     table.loadState(is);
     history.set(getU64(is));
 }
+
+template class BlockPredictor<GSharePredictor>;
 
 } // namespace bpred

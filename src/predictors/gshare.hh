@@ -18,7 +18,7 @@ namespace bpred
  * (history aligned to the high-order end of the index when shorter
  * than it). This is the paper's reference single-bank organization.
  */
-class GSharePredictor : public Predictor
+class GSharePredictor : public BlockPredictor<GSharePredictor>
 {
   public:
     /**
@@ -29,13 +29,6 @@ class GSharePredictor : public Predictor
     GSharePredictor(unsigned index_bits, unsigned history_bits,
                     unsigned counter_bits = 2);
 
-    bool predict(Addr pc) override;
-    void update(Addr pc, bool taken) override;
-    Outcome predictAndUpdate(Addr pc, bool taken) override;
-    void replayBlock(const BranchRecord *records, std::size_t count,
-                     ReplayCounters &counters,
-                     ReplayScratch *scratch) override;
-    void notifyUnconditional(Addr pc) override;
     std::string name() const override;
     u64 storageBits() const override { return table.storageBits(); }
     void reset() override;
@@ -47,11 +40,13 @@ class GSharePredictor : public Predictor
     unsigned historyBits() const { return historyBits_; }
 
   private:
-    u64 indexOf(Addr pc) const;
+    friend class BlockPredictor<GSharePredictor>;
+    struct State;
 
-    /** The whole update() when a probe is attached (kept out of the
-     * hot path so the uninstrumented loop stays frameless). */
-    void updateProbed(Addr pc, bool taken);
+    State state();
+    bool replayPhaseSplit(const BranchRecord *records,
+                          std::size_t count, ReplayCounters &counters,
+                          ReplayScratch &scratch);
 
     SatCounterArray table;
     GlobalHistory history;

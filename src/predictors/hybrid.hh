@@ -22,7 +22,7 @@ namespace bpred
  * Listed by the paper as one of the hybrid schemes its skewing
  * technique composes with; used here as a baseline.
  */
-class HybridPredictor : public Predictor
+class HybridPredictor : public BlockPredictor<HybridPredictor>
 {
   public:
     /**
@@ -34,13 +34,6 @@ class HybridPredictor : public Predictor
                     std::unique_ptr<Predictor> second,
                     unsigned chooser_index_bits);
 
-    bool predict(Addr pc) override;
-    void update(Addr pc, bool taken) override;
-    Outcome predictAndUpdate(Addr pc, bool taken) override;
-    void replayBlock(const BranchRecord *records, std::size_t count,
-                     ReplayCounters &counters,
-                     ReplayScratch *scratch) override;
-    void notifyUnconditional(Addr pc) override;
     std::string name() const override;
     u64 storageBits() const override;
     void reset() override;
@@ -51,16 +44,15 @@ class HybridPredictor : public Predictor
     void loadState(std::istream &is) override;
 
   private:
+    friend class BlockPredictor<HybridPredictor>;
+    struct State;
+
+    State state();
+
     std::unique_ptr<Predictor> firstComponent;
     std::unique_ptr<Predictor> secondComponent;
     SatCounterArray chooser;
     unsigned chooserIndexBits;
-
-    // predict() caches component predictions for update().
-    bool firstPrediction = false;
-    bool secondPrediction = false;
-    Addr predictedPc = 0;
-    bool havePrediction = false;
 };
 
 } // namespace bpred

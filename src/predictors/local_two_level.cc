@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "predictors/block_kernel.hh"
 #include "predictors/info_vector.hh"
 #include "support/logging.hh"
 #include "support/serialize.hh"
@@ -21,27 +22,40 @@ LocalTwoLevelPredictor::LocalTwoLevelPredictor(unsigned bht_index_bits,
     assert(local_history_bits >= 1 && local_history_bits <= 16);
 }
 
-u64
-LocalTwoLevelPredictor::bhtIndexOf(Addr pc) const
+/** PAg state lifted into locals (see block_kernel.hh). */
+struct LocalTwoLevelPredictor::State
 {
-    return addressIndex(pc, bhtIndexBits);
-}
+    u16 *historyTable;
+    SatCounterArray::View patternTable;
+    unsigned bhtIndexBits;
+    unsigned localHistoryBits;
 
-bool
-LocalTwoLevelPredictor::predict(Addr pc)
-{
-    const u16 local_history = historyTable[bhtIndexOf(pc)];
-    return patternTable.predictTaken(local_history);
-}
+    bool
+    predict(Addr pc) const
+    {
+        return patternTable.predictTaken(
+            historyTable[addressIndex(pc, bhtIndexBits)]);
+    }
 
-void
-LocalTwoLevelPredictor::update(Addr pc, bool taken)
+    template <typename Sink>
+    bool
+    step(Addr pc, bool taken, Sink &)
+    {
+        u16 &local_history = historyTable[addressIndex(pc, bhtIndexBits)];
+        const bool prediction = patternTable.predictTaken(local_history);
+        patternTable.update(local_history, taken);
+        local_history = static_cast<u16>(
+            ((local_history << 1) | (taken ? 1 : 0)) &
+            mask(localHistoryBits));
+        return prediction;
+    }
+};
+
+LocalTwoLevelPredictor::State
+LocalTwoLevelPredictor::state()
 {
-    u16 &local_history = historyTable[bhtIndexOf(pc)];
-    patternTable.update(local_history, taken);
-    local_history = static_cast<u16>(
-        ((local_history << 1) | (taken ? 1 : 0)) &
-        mask(localHistoryBits));
+    return {historyTable.data(), patternTable.view(), bhtIndexBits,
+            localHistoryBits};
 }
 
 std::string
@@ -95,5 +109,7 @@ LocalTwoLevelPredictor::loadState(std::istream &is)
     patternTable.loadState(is);
     historyTable = std::move(restored);
 }
+
+template class BlockPredictor<LocalTwoLevelPredictor>;
 
 } // namespace bpred

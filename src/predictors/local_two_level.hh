@@ -22,7 +22,8 @@ namespace bpred
  * its technique applies to; this implementation backs the baseline
  * comparison bench and the hybrid predictor.
  */
-class LocalTwoLevelPredictor : public Predictor
+class LocalTwoLevelPredictor
+    : public BlockPredictor<LocalTwoLevelPredictor>
 {
   public:
     /**
@@ -35,8 +36,6 @@ class LocalTwoLevelPredictor : public Predictor
                            unsigned local_history_bits,
                            unsigned counter_bits = 2);
 
-    bool predict(Addr pc) override;
-    void update(Addr pc, bool taken) override;
     std::string name() const override;
     u64 storageBits() const override;
     void reset() override;
@@ -45,7 +44,10 @@ class LocalTwoLevelPredictor : public Predictor
     void loadState(std::istream &is) override;
 
   private:
-    u64 bhtIndexOf(Addr pc) const;
+    friend class BlockPredictor<LocalTwoLevelPredictor>;
+    struct State;
+
+    State state();
 
     std::vector<u16> historyTable;
     SatCounterArray patternTable;

@@ -19,48 +19,6 @@ constexpr u8 snapshotVersion = 1;
 
 } // namespace
 
-Outcome
-Predictor::predictAndUpdate(Addr pc, bool taken)
-{
-    const bool prediction = predict(pc);
-    update(pc, taken);
-    return {prediction};
-}
-
-void
-Predictor::notifyUnconditional(Addr)
-{
-}
-
-void
-Predictor::replayBlock(const BranchRecord *records, std::size_t count,
-                       ReplayCounters &counters, ReplayScratch *)
-{
-    // Scalar reference path: one virtual fused step per branch.
-    // Overrides delegate here while a probe is attached, so this
-    // loop defines the observable behaviour of every block replay.
-    u8 *const mask = counters.mispredicted;
-    u64 conditionals = 0;
-    u64 mispredicts = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-        const BranchRecord &record = records[i];
-        if (!record.conditional) {
-            notifyUnconditional(record.pc);
-            continue;
-        }
-        const bool wrong =
-            predictAndUpdate(record.pc, record.taken).prediction !=
-            record.taken;
-        if (mask) {
-            mask[conditionals] = u8(wrong);
-        }
-        ++conditionals;
-        mispredicts += u64(wrong);
-    }
-    counters.conditionals += conditionals;
-    counters.mispredicts += mispredicts;
-}
-
 void
 Predictor::saveState(std::ostream &) const
 {

@@ -41,9 +41,8 @@ struct ReplayCounters
      * When non-null, replayBlock() stores 1 (mispredicted) or 0 at
      * index j for the j-th conditional branch of the call, so it
      * must hold one byte per conditional record. Only the reference
-     * kernels write it — the scalar Predictor::replayBlock() default
-     * and replayBlockWithState() — so callers wanting the mask pass
-     * a null ReplayScratch.
+     * kernels write it (the State kernels in block_kernel.hh, probed
+     * or not), so callers wanting the mask pass a null ReplayScratch.
      */
     u8 *mispredicted = nullptr;
 };
@@ -52,15 +51,17 @@ struct ReplayCounters
  * Abstract conditional-branch direction predictor.
  *
  * Contract: for every *conditional* branch, in trace order, the
- * simulation driver either calls predict(pc) followed by
- * update(pc, taken), or the fused predictAndUpdate(pc, taken) —
- * the two forms must be observably identical (same predictions,
- * same state evolution, same probe events). It calls
- * notifyUnconditional(pc) for every unconditional branch.
- * update() must train with the machine state as it was at
- * predict() time (i.e. the pre-branch global history) and only then
- * advance that state. Predictors that keep global history shift
+ * simulation driver calls predictAndUpdate(pc, taken), which
+ * returns the direction predicted with the pre-branch state and
+ * then trains; it calls notifyUnconditional(pc) for every
+ * unconditional branch. replayBlock() does the same for a whole
+ * block of records. predict() is a side-effect-free query of the
+ * current state. Predictors that keep global history shift
  * unconditional branches in as taken, as the paper does.
+ *
+ * Schemes do not implement these entry points one by one: each
+ * derives from BlockPredictor (below) and defines its resolve logic
+ * once, in a private State, from which all four are generated.
  */
 class Predictor
 {
@@ -68,58 +69,40 @@ class Predictor
     virtual ~Predictor() = default;
 
     /** Predicted direction for the conditional branch at @p pc. */
-    virtual bool predict(Addr pc) = 0;
+    virtual bool predict(Addr pc) const = 0;
 
     /**
      * Resolve the conditional branch at @p pc with outcome @p taken:
-     * train the tables and advance any internal history.
+     * return the direction predicted beforehand, then train the
+     * tables and advance any internal history.
      */
-    virtual void update(Addr pc, bool taken) = 0;
+    virtual Outcome predictAndUpdate(Addr pc, bool taken) = 0;
 
     /**
-     * Fused predict + update: resolve the conditional branch at
-     * @p pc with outcome @p taken and return the direction that
-     * would have been predicted beforehand. Must be equivalent to
-     * predict(pc) followed by update(pc, taken); the default does
-     * exactly that. Hot predictors override it to compute each
-     * table index once and touch each counter once — the
-     * simulation driver's fast path (see sim/driver.hh).
+     * Observe an unconditional branch at @p pc. Global-history
+     * predictors shift in a taken outcome.
      */
-    virtual Outcome predictAndUpdate(Addr pc, bool taken);
-
-    /**
-     * Observe an unconditional branch at @p pc. Default: no effect.
-     * Global-history predictors shift in a taken outcome.
-     */
-    virtual void notifyUnconditional(Addr pc);
+    virtual void notifyUnconditional(Addr pc) = 0;
 
     /**
      * Resolve a whole block of records in trace order — conditional
-     * branches through the fused step, unconditional ones through
-     * notifyUnconditional() — adding the block's conditional and
-     * misprediction counts to @p counters.
-     *
-     * Must be observably identical to looping predictAndUpdate()
-     * over the block; the base default does exactly that. Hot
-     * schemes override it with a devirtualized kernel (see
-     * predictors/block_kernel.hh) so the inner loop costs one
-     * virtual dispatch per block instead of one per branch — the
-     * gang replay engine's fast path (sim/gang.hh). Overrides must
-     * delegate to this scalar default while a probe is attached so
-     * telemetry event streams stay bit-identical.
+     * branches as predictAndUpdate() would, unconditional ones as
+     * notifyUnconditional() would — adding the block's conditional
+     * and misprediction counts to @p counters. One virtual dispatch
+     * per block: the gang replay engine's fast path (sim/gang.hh).
      *
      * @p scratch, when non-null, lends the session's SoA staging
      * buffers (predictors/replay_scratch.hh) and carries the
      * requested SimdMode: schemes with a phase-split kernel may then
      * precompute the block's table indices with the vectorized
      * index pass and resolve fed by them — still byte-identical to
-     * the fused path. A null scratch always runs the fused/scalar
-     * reference kernels, which also fill counters.mispredicted.
+     * the reference path. A null scratch always runs the reference
+     * kernel, which also fills counters.mispredicted.
      */
     virtual void replayBlock(const BranchRecord *records,
                              std::size_t count,
                              ReplayCounters &counters,
-                             ReplayScratch *scratch = nullptr);
+                             ReplayScratch *scratch = nullptr) = 0;
 
     /** Short configuration name, e.g. "gshare-16K-h12". */
     virtual std::string name() const = 0;
@@ -166,9 +149,9 @@ class Predictor
     /**
      * Attach a telemetry sink (see support/probe.hh); nullptr
      * detaches. Instrumented predictors publish per-prediction
-     * events to the sink from update(); predictors without
-     * instrumentation simply ignore it. Returns the previously
-     * attached sink so callers can restore it.
+     * events to the sink as each conditional branch resolves;
+     * predictors without instrumentation simply ignore it. Returns
+     * the previously attached sink so callers can restore it.
      */
     ProbeSink *
     attachProbe(ProbeSink *sink)
@@ -183,11 +166,43 @@ class Predictor
 
   protected:
     /**
-     * The attached sink, null in the common case. Publishing sites
-     * must null-check so the uninstrumented hot path stays a single
-     * predictable branch.
+     * The attached sink, null in the common case. BlockPredictor
+     * tests it once per call and picks the probed or the plain
+     * instantiation of the scheme's step.
      */
     ProbeSink *probeSink = nullptr;
+};
+
+/**
+ * The base every scheme derives from: it generates all four
+ * Predictor entry points from the single resolve definition in
+ * Derived's private State. The members are defined in
+ * predictors/block_kernel.hh, which documents the State contract;
+ * each scheme's .cc includes it and instantiates
+ * `template class BlockPredictor<Scheme>;` once.
+ */
+template <typename Derived>
+class BlockPredictor : public Predictor
+{
+  public:
+    bool predict(Addr pc) const final;
+    Outcome predictAndUpdate(Addr pc, bool taken) final;
+    void notifyUnconditional(Addr pc) final;
+    void replayBlock(const BranchRecord *records, std::size_t count,
+                     ReplayCounters &counters,
+                     ReplayScratch *scratch = nullptr) final;
+
+  protected:
+    /**
+     * Build Derived's State and return @p fn(state). The default
+     * calls Derived::state(); a scheme whose State is a template
+     * (one instantiation per bank count) shadows this to dispatch.
+     */
+    template <typename Fn>
+    decltype(auto) withState(Fn &&fn);
+
+  private:
+    Derived &self() { return static_cast<Derived &>(*this); }
 };
 
 /**

@@ -17,16 +17,13 @@ namespace bpred
  * fully-associative tagged table of Figure 8; it also serves as a
  * floor baseline in the comparison benches.
  */
-class StaticPredictor : public Predictor
+class StaticPredictor : public BlockPredictor<StaticPredictor>
 {
   public:
     /** @param predict_taken Direction predicted for every branch. */
     explicit StaticPredictor(bool predict_taken = true)
         : direction(predict_taken)
     {}
-
-    bool predict(Addr) override { return direction; }
-    void update(Addr, bool) override {}
 
     std::string
     name() const override
@@ -44,6 +41,11 @@ class StaticPredictor : public Predictor
     void loadState(std::istream &) override {}
 
   private:
+    friend class BlockPredictor<StaticPredictor>;
+    struct State;
+
+    State state() const;
+
     bool direction;
 };
 

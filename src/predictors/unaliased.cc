@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "predictors/block_kernel.hh"
 #include "predictors/info_vector.hh"
 #include "support/logging.hh"
 #include "support/serialize.hh"
@@ -23,49 +24,55 @@ UnaliasedPredictor::keyOf(Addr pc) const
     return packInfoVector(pc, history.raw(), historyBits);
 }
 
-bool
-UnaliasedPredictor::predict(Addr pc)
+/**
+ * The unaliased predictor's state is hash tables, not counter
+ * arrays, so its State works on the predictor directly.
+ */
+struct UnaliasedPredictor::State
 {
-    const auto it = counters.find(keyOf(pc));
-    lastWasCold = it == counters.end();
-    // Cold entries have no information; predict taken (the static
-    // fallback), but the miss will not be charged as a misprediction.
-    lastPrediction = lastWasCold ? true : it->second.predictTaken();
-    lastPredictionValid = true;
-    return lastPrediction;
-}
+    UnaliasedPredictor &self;
 
-void
-UnaliasedPredictor::update(Addr pc, bool taken)
-{
-    const u64 key = keyOf(pc);
-    if (!lastPredictionValid) {
-        // update() without a paired predict(): recompute.
-        const auto it = counters.find(key);
-        lastWasCold = it == counters.end();
-        lastPrediction = lastWasCold ? true : it->second.predictTaken();
+    bool
+    predict(Addr pc) const
+    {
+        const auto it = self.counters.find(self.keyOf(pc));
+        // Cold entries have no information; predict taken (the
+        // static fallback), but the miss will not be charged as a
+        // misprediction.
+        return it == self.counters.end() || it->second.predictTaken();
     }
-    lastPredictionValid = false;
 
-    ++dynamicCount;
-    staticBranches.insert(pc);
+    template <typename Sink>
+    bool
+    step(Addr pc, bool taken, Sink &)
+    {
+        const u64 key = self.keyOf(pc);
+        const auto it = self.counters.find(key);
+        const bool cold = it == self.counters.end();
+        const bool prediction = cold || it->second.predictTaken();
 
-    if (lastWasCold) {
-        ++compulsoryCount;
-        SatCounter counter(counterBits);
-        counter.setStrong(taken);
-        counters.emplace(key, counter);
-    } else {
-        warmMispredicts.sample(lastPrediction != taken);
-        counters.find(key)->second.update(taken);
+        ++self.dynamicCount;
+        self.staticBranches.insert(pc);
+        if (cold) {
+            ++self.compulsoryCount;
+            SatCounter counter(self.counterBits);
+            counter.setStrong(taken);
+            self.counters.emplace(key, counter);
+        } else {
+            self.warmMispredicts.sample(prediction != taken);
+            it->second.update(taken);
+        }
+        self.history.shiftIn(taken);
+        return prediction;
     }
-    history.shiftIn(taken);
-}
 
-void
-UnaliasedPredictor::notifyUnconditional(Addr)
+    void unconditional(Addr) { self.history.shiftIn(true); }
+};
+
+UnaliasedPredictor::State
+UnaliasedPredictor::state()
 {
-    history.shiftIn(true);
+    return {*this};
 }
 
 std::string
@@ -90,7 +97,6 @@ UnaliasedPredictor::reset()
     warmMispredicts.reset();
     dynamicCount = 0;
     compulsoryCount = 0;
-    lastPredictionValid = false;
 }
 
 void
@@ -171,9 +177,6 @@ UnaliasedPredictor::loadState(std::istream &is)
     dynamicCount = dynamic_count;
     compulsoryCount = compulsory_count;
     history.set(history_raw);
-    // The predict()/update() latch does not survive a checkpoint
-    // boundary; update() recomputes when unpaired.
-    lastPredictionValid = false;
 }
 
 double
@@ -193,5 +196,7 @@ UnaliasedPredictor::compulsoryAliasingRatio() const
         : static_cast<double>(compulsoryCount) /
             static_cast<double>(dynamicCount);
 }
+
+template class BlockPredictor<UnaliasedPredictor>;
 
 } // namespace bpred

@@ -34,7 +34,7 @@ namespace bpred
  * On a first encounter the new counter is initialized strongly
  * toward the observed outcome.
  */
-class UnaliasedPredictor : public Predictor
+class UnaliasedPredictor : public BlockPredictor<UnaliasedPredictor>
 {
   public:
     /**
@@ -43,9 +43,6 @@ class UnaliasedPredictor : public Predictor
      */
     UnaliasedPredictor(unsigned history_bits, unsigned counter_bits = 2);
 
-    bool predict(Addr pc) override;
-    void update(Addr pc, bool taken) override;
-    void notifyUnconditional(Addr pc) override;
     std::string name() const override;
 
     /**
@@ -88,6 +85,10 @@ class UnaliasedPredictor : public Predictor
     u64 dynamicBranches() const { return dynamicCount; }
 
   private:
+    friend class BlockPredictor<UnaliasedPredictor>;
+    struct State;
+
+    State state();
     u64 keyOf(Addr pc) const;
 
     std::unordered_map<u64, SatCounter> counters;
@@ -98,11 +99,6 @@ class UnaliasedPredictor : public Predictor
     u64 compulsoryCount = 0;
     unsigned historyBits;
     unsigned counterBits;
-
-    // predict() result latched for the paired update().
-    bool lastPredictionValid = false;
-    bool lastPrediction = false;
-    bool lastWasCold = false;
 };
 
 } // namespace bpred

@@ -1,5 +1,8 @@
 #include "predictors/yags.hh"
 
+#include <utility>
+
+#include "predictors/block_kernel.hh"
 #include "predictors/info_vector.hh"
 #include "support/logging.hh"
 #include "support/serialize.hh"
@@ -7,6 +10,88 @@
 
 namespace bpred
 {
+
+/** YAGS state lifted into locals (see block_kernel.hh). */
+struct YagsPredictor::State
+{
+    CacheEntry *takenCache;    // consulted on NT bias
+    CacheEntry *notTakenCache; // consulted on T bias
+    SatCounterArray::View choiceTable;
+    GlobalHistory history;
+    unsigned cacheIndexBits;
+    unsigned historyBits;
+    unsigned choiceIndexBits;
+    unsigned tagBits;
+    GlobalHistory *historyOut;
+
+    /** The bias, and the cache entry consulted under it. */
+    std::pair<bool, CacheEntry *>
+    lookup(Addr pc) const
+    {
+        const bool bias =
+            choiceTable.predictTaken(addressIndex(pc, choiceIndexBits));
+        // A taken bias consults the "not-taken cache" (the
+        // exceptions to taken), and vice versa.
+        CacheEntry *cache = bias ? notTakenCache : takenCache;
+        return {bias, &cache[gshareIndex(pc, history.raw(), historyBits,
+                                         cacheIndexBits)]};
+    }
+
+    u16
+    tagOf(Addr pc) const
+    {
+        return static_cast<u16>((pc >> 2) & mask(tagBits));
+    }
+
+    bool
+    predict(Addr pc) const
+    {
+        const auto [bias, entry] = lookup(pc);
+        return entry->valid && entry->tag == tagOf(pc)
+            ? entry->counter >= 2
+            : bias;
+    }
+
+    template <typename Sink>
+    bool
+    step(Addr pc, bool taken, Sink &)
+    {
+        const auto [bias, entry] = lookup(pc);
+        const bool tag_hit = entry->valid && entry->tag == tagOf(pc);
+        const bool prediction = tag_hit ? entry->counter >= 2 : bias;
+
+        if (tag_hit) {
+            // Train the exception entry.
+            if (taken) {
+                if (entry->counter < 3) {
+                    ++entry->counter;
+                }
+            } else {
+                if (entry->counter > 0) {
+                    --entry->counter;
+                }
+            }
+        } else if (taken != bias) {
+            // A new exception: allocate (replacing whatever was
+            // there).
+            entry->valid = true;
+            entry->tag = tagOf(pc);
+            entry->counter = taken ? 2 : 1; // weak toward the outcome
+        }
+
+        // Choice table trains like bi-mode: skip the update when the
+        // bias was wrong but the exception cache covered it.
+        const bool covered = tag_hit && (entry->counter >= 2) == taken;
+        if (!(bias != taken && covered)) {
+            choiceTable.update(addressIndex(pc, choiceIndexBits), taken);
+        }
+        history.shiftIn(taken);
+        return prediction;
+    }
+
+    void unconditional(Addr) { history.shiftIn(true); }
+    void commit() { *historyOut = history; }
+};
 
 YagsPredictor::YagsPredictor(unsigned cache_index_bits,
                              unsigned history_bits,
@@ -23,74 +108,12 @@ YagsPredictor::YagsPredictor(unsigned cache_index_bits,
 {
 }
 
-u64
-YagsPredictor::cacheIndexOf(Addr pc) const
+YagsPredictor::State
+YagsPredictor::state()
 {
-    return gshareIndex(pc, history.raw(), historyBits,
-                       cacheIndexBits);
-}
-
-u16
-YagsPredictor::tagOf(Addr pc) const
-{
-    return static_cast<u16>((pc >> 2) & mask(tagBits));
-}
-
-bool
-YagsPredictor::predict(Addr pc)
-{
-    const bool bias =
-        choiceTable.predictTaken(addressIndex(pc, choiceIndexBits));
-    // A taken bias consults the "not-taken cache" (the exceptions
-    // to taken), and vice versa.
-    const auto &cache = bias ? notTakenCache : takenCache;
-    const CacheEntry &entry = cache[cacheIndexOf(pc)];
-    if (entry.valid && entry.tag == tagOf(pc)) {
-        return entry.counter >= 2;
-    }
-    return bias;
-}
-
-void
-YagsPredictor::update(Addr pc, bool taken)
-{
-    const u64 choice_index = addressIndex(pc, choiceIndexBits);
-    const bool bias = choiceTable.predictTaken(choice_index);
-    auto &cache = bias ? notTakenCache : takenCache;
-    CacheEntry &entry = cache[cacheIndexOf(pc)];
-    const bool tag_hit = entry.valid && entry.tag == tagOf(pc);
-
-    if (tag_hit) {
-        // Train the exception entry.
-        if (taken) {
-            if (entry.counter < 3) {
-                ++entry.counter;
-            }
-        } else {
-            if (entry.counter > 0) {
-                --entry.counter;
-            }
-        }
-    } else if (taken != bias) {
-        // A new exception: allocate (replacing whatever was there).
-        entry.valid = true;
-        entry.tag = tagOf(pc);
-        entry.counter = taken ? 2 : 1; // weak toward the outcome
-    }
-
-    // Choice table trains like bi-mode: skip the update when the
-    // bias was wrong but the exception cache covered it.
-    const bool covered = tag_hit && (entry.counter >= 2) == taken;
-    if (!(bias != taken && covered)) {
-        choiceTable.update(choice_index, taken);
-    }
-    history.shiftIn(taken);
-}
-
-void
-YagsPredictor::notifyUnconditional(Addr)
-{
-    history.shiftIn(true);
+    return {takenCache.data(), notTakenCache.data(), choiceTable.view(),
+            history,           cacheIndexBits,       historyBits,
+            choiceIndexBits,   tagBits,              &history};
 }
 
 std::string
@@ -161,5 +184,7 @@ YagsPredictor::loadState(std::istream &is)
     choiceTable.loadState(is);
     history.set(getU64(is));
 }
+
+template class BlockPredictor<YagsPredictor>;
 
 } // namespace bpred

@@ -27,7 +27,7 @@ namespace bpred
  * of a tagged predictor (§3.3's objection): only the exception
  * minority needs tags.
  */
-class YagsPredictor : public Predictor
+class YagsPredictor : public BlockPredictor<YagsPredictor>
 {
   public:
     /**
@@ -39,9 +39,6 @@ class YagsPredictor : public Predictor
     YagsPredictor(unsigned cache_index_bits, unsigned history_bits,
                   unsigned choice_index_bits, unsigned tag_bits = 6);
 
-    bool predict(Addr pc) override;
-    void update(Addr pc, bool taken) override;
-    void notifyUnconditional(Addr pc) override;
     std::string name() const override;
     u64 storageBits() const override;
     void reset() override;
@@ -50,6 +47,9 @@ class YagsPredictor : public Predictor
     void loadState(std::istream &is) override;
 
   private:
+    friend class BlockPredictor<YagsPredictor>;
+    struct State;
+
     struct CacheEntry
     {
         u16 tag = 0;
@@ -57,8 +57,7 @@ class YagsPredictor : public Predictor
         bool valid = false;
     };
 
-    u64 cacheIndexOf(Addr pc) const;
-    u16 tagOf(Addr pc) const;
+    State state();
 
     std::vector<CacheEntry> takenCache;    // consulted on T bias
     std::vector<CacheEntry> notTakenCache; // consulted on NT bias

@@ -178,10 +178,9 @@ struct SimResult
 
 /**
  * Run @p predictor over @p trace from a cold start: resolve every
- * conditional branch through the fused predictAndUpdate() fast
- * path (contract-equivalent to predict() + update()), notify on
- * every unconditional branch, and count mispredictions — honouring
- * every knob in @p options.
+ * conditional branch (block replay, or predictAndUpdate() under
+ * scalarReplay), notify on every unconditional branch, and count
+ * mispredictions — honouring every knob in @p options.
  *
  * The predictor is NOT reset first; callers reusing a predictor
  * across traces should call reset() themselves (warm-start studies

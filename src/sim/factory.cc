@@ -153,27 +153,6 @@ SchemeInfo::usage() const
     return text;
 }
 
-/*
- * Schemes that intentionally run the scalar replay path. The SIMD
- * block kernels (predictors/block_kernel_simd.hh) cover the
- * table-indexed schemes where index arithmetic dominates; the
- * schemes below either have no table (static), are tag/LRU bound
- * (yags, falru), or replay through per-address history chains the
- * kernels cannot batch (pag, pskew). Revisit when profiling says
- * otherwise; dropping a waiver makes scheme-coverage demand a
- * kernel.
- *
- * bp_lint: scalar-only(static)
- * bp_lint: scalar-only(pag)
- * bp_lint: scalar-only(agree)
- * bp_lint: scalar-only(bimode)
- * bp_lint: scalar-only(yags)
- * bp_lint: scalar-only(gskewedsh)
- * bp_lint: scalar-only(egskewsh)
- * bp_lint: scalar-only(pskew)
- * bp_lint: scalar-only(falru)
- * bp_lint: scalar-only(unaliased)
- */
 const std::vector<SchemeInfo> &
 listSchemes()
 {

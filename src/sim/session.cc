@@ -212,9 +212,8 @@ SimSession::feedScalar(const BranchRecord *records, std::size_t count)
             pred.notifyUnconditional(record.pc);
             continue;
         }
-        // Fused fast path: one virtual dispatch and one index
-        // computation per branch (contract-equivalent to
-        // predict() + update(); test_predictor_contract guards it).
+        // One virtual dispatch per branch; test_predictor_contract
+        // pins this loop to the block path.
         const bool wrong =
             pred.predictAndUpdate(record.pc, record.taken).prediction !=
             record.taken;

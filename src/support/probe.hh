@@ -5,14 +5,16 @@
  * Instrumented predictors publish fine-grained events — bank votes,
  * majority-vs-bank disagreement, update-policy skips, counter-state
  * transitions — to an optional ProbeSink attached via
- * Predictor::attachProbe(). With no sink attached the publishing
- * sites reduce to a single null-pointer check, so the simulation
- * hot path is unaffected (verified by bench_perf_predictors).
+ * Predictor::attachProbe(). With no sink attached the predictor
+ * runs the instantiation of its step that has no publishing sites
+ * at all (predictors/block_kernel.hh), so the simulation hot path
+ * is unaffected.
  *
  * Event-to-publisher map:
- *  - ResolvedEvent: every instrumented predictor, once per update()
+ *  - ResolvedEvent: every instrumented predictor, once per resolved
+ *    conditional branch
  *  - BankVoteEvent: voting predictors (gskewed / e-gskew), once per
- *    bank per update()
+ *    bank per resolved conditional branch
  *  - UpdateSkipEvent: gskewed partial / partial-lazy policies
  *  - CounterWriteEvent: any table write that changes a counter
  *  - ChoiceEvent: the McFarling hybrid's chooser

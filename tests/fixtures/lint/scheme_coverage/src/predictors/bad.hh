@@ -4,7 +4,7 @@ namespace bpred
 {
 
 // Half-registered on purpose: loadState without saveState, no
-// block kernel, no scalar-only waiver, not in the contract sweep.
+// block kernel, not in the contract sweep.
 class BadPredictor : public Predictor
 {
   public:

@@ -1,16 +1,19 @@
 #pragma once
 
+#include "predictors/predictor.hh"
+
 namespace bpred
 {
 
-class GoodPredictor : public Predictor
+// Gets its block kernel through the template base.
+class GoodPredictor : public BlockPredictor<GoodPredictor>
 {
   public:
     void saveState(std::ostream &os) const override;
     void loadState(std::istream &is) override;
-    void replayBlock(const BranchRecord *records, std::size_t n,
-                     ReplayCounters &counters,
-                     ReplayScratch *scratch) override;
+
+  private:
+    struct State;
 };
 
 } // namespace bpred

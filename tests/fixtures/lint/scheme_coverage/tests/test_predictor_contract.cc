@@ -1,7 +1,6 @@
-// The sweep deliberately omits the third scheme.
+// The sweep deliberately omits the second scheme.
 static const char *allSpecs[] = {
     "good:14",
-    "waived:8",
 };
 
 int

@@ -26,7 +26,7 @@ TEST(Agree, ColdPredictsTaken)
 TEST(Agree, BiasSetOnFirstEncounter)
 {
     AgreePredictor predictor(8, 4, 8);
-    predictor.update(0x100, false); // bias becomes not-taken
+    predictor.predictAndUpdate(0x100, false); // bias becomes not-taken
     // Weakly-agree + not-taken bias -> predicts not-taken.
     EXPECT_FALSE(predictor.predict(0x100));
 }
@@ -41,7 +41,7 @@ TEST(Agree, FollowsBiasOnStronglyBiasedBranch)
         if (i >= 100) {
             wrong += predictor.predict(pc) != outcome;
         }
-        predictor.update(pc, outcome);
+        predictor.predictAndUpdate(pc, outcome);
     }
     // Near the bias floor: ~5% misprediction on 300 scored.
     EXPECT_LT(wrong, 40);
@@ -63,14 +63,14 @@ TEST(Agree, OppositeBiasBranchesShareCounterHarmlessly)
     for (int i = 0; i < 200; ++i) {
         const bool score = i >= 50;
         agree_wrong += score && agree.predict(a) != true;
-        agree.update(a, true);
+        agree.predictAndUpdate(a, true);
         gshare_wrong += score && gshare.predict(a) != true;
-        gshare.update(a, true);
+        gshare.predictAndUpdate(a, true);
 
         agree_wrong += score && agree.predict(b) != false;
-        agree.update(b, false);
+        agree.predictAndUpdate(b, false);
         gshare_wrong += score && gshare.predict(b) != false;
-        gshare.update(b, false);
+        gshare.predictAndUpdate(b, false);
     }
     EXPECT_EQ(agree_wrong, 0);
     // The oscillating shared counter settles into a state that is
@@ -83,7 +83,7 @@ TEST(Agree, NameStorageReset)
     AgreePredictor predictor(12, 10, 10);
     EXPECT_EQ(predictor.name(), "agree-4K-h10");
     EXPECT_EQ(predictor.storageBits(), 4096u * 2 + 1024u);
-    predictor.update(0x100, false);
+    predictor.predictAndUpdate(0x100, false);
     EXPECT_FALSE(predictor.predict(0x100));
     predictor.reset();
     EXPECT_TRUE(predictor.predict(0x100));
@@ -101,9 +101,9 @@ TEST(Agree, BiasTableAliasingDegradesGracefully)
     for (int i = 0; i < 400; ++i) {
         const bool score = i >= 200;
         wrong += score && predictor.predict(a) != true;
-        predictor.update(a, true);
+        predictor.predictAndUpdate(a, true);
         wrong += score && predictor.predict(b) != false;
-        predictor.update(b, false);
+        predictor.predictAndUpdate(b, false);
     }
     // Learnable despite the shared bias bit.
     EXPECT_LT(wrong, 40);

@@ -35,9 +35,9 @@ TEST(Bimodal, LearnsPerAddress)
     const Addr exit = 0x104; // distinct table entry from `loop`
     for (int i = 0; i < 4; ++i) {
         predictor.predict(loop);
-        predictor.update(loop, true);
+        predictor.predictAndUpdate(loop, true);
         predictor.predict(exit);
-        predictor.update(exit, false);
+        predictor.predictAndUpdate(exit, false);
     }
     EXPECT_TRUE(predictor.predict(loop));
     EXPECT_FALSE(predictor.predict(exit));
@@ -49,7 +49,7 @@ TEST(Bimodal, AliasesOnLowBits)
     const Addr a = 0x100;
     const Addr b = a + (16 << 2); // same low index bits
     for (int i = 0; i < 4; ++i) {
-        predictor.update(a, true);
+        predictor.predictAndUpdate(a, true);
     }
     // b shares a's counter, so it inherits a's bias.
     EXPECT_TRUE(predictor.predict(b));
@@ -67,7 +67,7 @@ TEST(Bimodal, ResetForgets)
 {
     BimodalPredictor predictor(6);
     for (int i = 0; i < 4; ++i) {
-        predictor.update(0x40, true);
+        predictor.predictAndUpdate(0x40, true);
     }
     EXPECT_TRUE(predictor.predict(0x40));
     predictor.reset();
@@ -95,8 +95,8 @@ TEST(GShare, LearnsHistoryCorrelatedBranch)
             gshare.predict(pc);
             bimodal.predict(pc);
         }
-        gshare.update(pc, outcome);
-        bimodal.update(pc, outcome);
+        gshare.predictAndUpdate(pc, outcome);
+        bimodal.predictAndUpdate(pc, outcome);
     }
     EXPECT_EQ(gshare_wrong, 0);
     EXPECT_GT(bimodal_wrong, 100);
@@ -112,8 +112,8 @@ TEST(GShare, UnconditionalShiftsHistory)
     // they train differ, which we observe via predictions.
     a.notifyUnconditional(0x100);
     for (int i = 0; i < 3; ++i) {
-        a.update(pc, true);
-        b.update(pc, true);
+        a.predictAndUpdate(pc, true);
+        b.predictAndUpdate(pc, true);
     }
     // Reset histories to a common state and compare table contents
     // indirectly: with equal history, predictions may differ since
@@ -135,7 +135,7 @@ TEST(GShare, ResetClearsHistoryAndTable)
 {
     GSharePredictor predictor(8, 4);
     for (int i = 0; i < 10; ++i) {
-        predictor.update(0x10, true);
+        predictor.predictAndUpdate(0x10, true);
     }
     predictor.reset();
     EXPECT_FALSE(predictor.predict(0x10));
@@ -154,7 +154,7 @@ TEST(GSelect, LearnsHistoryCorrelatedBranch)
         } else {
             predictor.predict(pc);
         }
-        predictor.update(pc, outcome);
+        predictor.predictAndUpdate(pc, outcome);
     }
     EXPECT_EQ(wrong, 0);
 }
@@ -178,8 +178,8 @@ TEST(GShareVsGSelect, DifferentIndexing)
     const Addr b = (0x10 + (1 << 4)) << 2; // differs above gselect's
                                            // 2 surviving address bits
     for (int i = 0; i < 4; ++i) {
-        gshare.update(a, true);
-        gselect.update(a, true);
+        gshare.predictAndUpdate(a, true);
+        gselect.predictAndUpdate(a, true);
     }
     // Both work; detailed aliasing behaviour is exercised in the
     // three-C tests.
@@ -200,12 +200,12 @@ TEST(OneBitVsTwoBit, LoopBranchAnomaly)
         int wrong = 0;
         // warm-up
         for (int i = 0; i < 10; ++i) {
-            p.update(pc, i % 10 != 9);
+            p.predictAndUpdate(pc, i % 10 != 9);
         }
         for (int i = 0; i < 200; ++i) {
             const bool outcome = i % 10 != 9;
             wrong += p.predict(pc) != outcome;
-            p.update(pc, outcome);
+            p.predictAndUpdate(pc, outcome);
         }
         return wrong;
     };

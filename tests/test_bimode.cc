@@ -21,8 +21,8 @@ TEST(BiMode, LearnsBiasedBranches)
     const Addr taken_pc = 0x100;
     const Addr not_taken_pc = 0x104;
     for (int i = 0; i < 20; ++i) {
-        predictor.update(taken_pc, true);
-        predictor.update(not_taken_pc, false);
+        predictor.predictAndUpdate(taken_pc, true);
+        predictor.predictAndUpdate(not_taken_pc, false);
     }
     EXPECT_TRUE(predictor.predict(taken_pc));
     EXPECT_FALSE(predictor.predict(not_taken_pc));
@@ -39,7 +39,7 @@ TEST(BiMode, LearnsAlternatingBranch)
         if (i >= 200) {
             wrong += predictor.predict(pc) != outcome;
         }
-        predictor.update(pc, outcome);
+        predictor.predictAndUpdate(pc, outcome);
     }
     EXPECT_EQ(wrong, 0);
 }
@@ -61,14 +61,14 @@ TEST(BiMode, SegregationAbsorbsOppositeBiasConflict)
     for (int i = 0; i < 300; ++i) {
         const bool score = i >= 100;
         bimode_wrong += score && bimode.predict(a) != true;
-        bimode.update(a, true);
+        bimode.predictAndUpdate(a, true);
         gshare_wrong += score && gshare.predict(a) != true;
-        gshare.update(a, true);
+        gshare.predictAndUpdate(a, true);
 
         bimode_wrong += score && bimode.predict(b) != false;
-        bimode.update(b, false);
+        bimode.predictAndUpdate(b, false);
         gshare_wrong += score && gshare.predict(b) != false;
-        gshare.update(b, false);
+        gshare.predictAndUpdate(b, false);
     }
     EXPECT_EQ(bimode_wrong, 0);
     EXPECT_GE(gshare_wrong, 180);
@@ -86,7 +86,7 @@ TEST(BiMode, ResetRestoresColdState)
 {
     BiModePredictor predictor(8, 4, 8);
     for (int i = 0; i < 20; ++i) {
-        predictor.update(0x40, false);
+        predictor.predictAndUpdate(0x40, false);
     }
     EXPECT_FALSE(predictor.predict(0x40));
     predictor.reset();

@@ -273,12 +273,12 @@ TEST(BpLint, SchemeCoverageGapsAreFlagged)
         lintWith("scheme_coverage", "scheme-coverage");
     ASSERT_EQ(findings.size(), 3u);
 
-    // 'good' (snapshots + kernel + contract entry) and 'waived'
-    // (snapshots + scalar-only waiver + contract entry) stay
-    // silent; all three gaps of 'bad' anchor at its table line.
+    // 'good' (snapshots + a kernel inherited through a template
+    // base + contract entry) stays silent; all three gaps of 'bad'
+    // anchor at its table line.
     for (const auto &finding : findings) {
         EXPECT_EQ(finding.file, "src/sim/factory.cc");
-        EXPECT_EQ(finding.line, 20u);
+        EXPECT_EQ(finding.line, 16u);
         EXPECT_TRUE(mentions(finding, "'bad'"));
     }
     EXPECT_TRUE(mentions(findings[0], "saveState"));

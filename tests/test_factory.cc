@@ -69,7 +69,7 @@ TEST(Factory, BuiltPredictorsFunction)
         ASSERT_NE(predictor, nullptr) << spec;
         for (int i = 0; i < 50; ++i) {
             predictor->predict(0x100 + 4 * (i % 8));
-            predictor->update(0x100 + 4 * (i % 8), i % 3 != 0);
+            predictor->predictAndUpdate(0x100 + 4 * (i % 8), i % 3 != 0);
             predictor->notifyUnconditional(0x400);
         }
         EXPECT_NO_THROW(predictor->reset()) << spec;

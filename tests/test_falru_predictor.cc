@@ -24,7 +24,7 @@ TEST(FaLruPredictor, LearnsResidentSubstream)
     FaLruPredictor predictor(16, 0);
     const Addr pc = 0x40;
     predictor.predict(pc);
-    predictor.update(pc, false);
+    predictor.predictAndUpdate(pc, false);
     // Entry now resident, trained strongly not-taken.
     EXPECT_FALSE(predictor.predict(pc));
 }
@@ -32,9 +32,9 @@ TEST(FaLruPredictor, LearnsResidentSubstream)
 TEST(FaLruPredictor, CapacityEvictionRestoresStaticPrediction)
 {
     FaLruPredictor predictor(2, 0);
-    predictor.update(0x10, false);
-    predictor.update(0x20, false);
-    predictor.update(0x30, false); // evicts 0x10's pair
+    predictor.predictAndUpdate(0x10, false);
+    predictor.predictAndUpdate(0x20, false);
+    predictor.predictAndUpdate(0x30, false); // evicts 0x10's pair
     EXPECT_TRUE(predictor.predict(0x10));  // back to always-taken
     EXPECT_FALSE(predictor.predict(0x30));
 }
@@ -52,7 +52,7 @@ TEST(FaLruPredictor, HistoryDistinguishesSubstreams)
         if (i >= 100) {
             wrong += predictor.predict(pc) != outcome;
         }
-        predictor.update(pc, outcome);
+        predictor.predictAndUpdate(pc, outcome);
     }
     EXPECT_EQ(wrong, 0);
 }
@@ -73,15 +73,15 @@ TEST(FaLruPredictor, NameEncodesConfig)
 TEST(FaLruPredictor, MissRatioExposed)
 {
     FaLruPredictor predictor(2, 0);
-    predictor.update(0x10, true);
-    predictor.update(0x10, true);
+    predictor.predictAndUpdate(0x10, true);
+    predictor.predictAndUpdate(0x10, true);
     EXPECT_NEAR(predictor.missRatio(), 0.5, 1e-12);
 }
 
 TEST(FaLruPredictor, ResetForgets)
 {
     FaLruPredictor predictor(8, 0);
-    predictor.update(0x10, false);
+    predictor.predictAndUpdate(0x10, false);
     EXPECT_FALSE(predictor.predict(0x10));
     predictor.reset();
     EXPECT_TRUE(predictor.predict(0x10));
@@ -93,8 +93,8 @@ TEST(FaLruPredictor, UnconditionalShiftsHistory)
     FaLruPredictor without(64, 4);
     const Addr pc = 0x100;
     // Train under one history context.
-    with_uncond.update(pc, false);
-    without.update(pc, false);
+    with_uncond.predictAndUpdate(pc, false);
+    without.predictAndUpdate(pc, false);
     // Shifting history moves the pair out of context for the
     // predictor that saw the unconditional branch.
     with_uncond.notifyUnconditional(0x200);

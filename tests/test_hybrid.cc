@@ -41,10 +41,10 @@ TEST(Hybrid, ChoosesBetterComponentPerBranch)
         const bool score = i >= 1000;
 
         wrong += score && hybrid->predict(a) != a_outcome;
-        hybrid->update(a, a_outcome);
+        hybrid->predictAndUpdate(a, a_outcome);
 
         wrong += score && hybrid->predict(b) != true;
-        hybrid->update(b, true);
+        hybrid->predictAndUpdate(b, true);
     }
     // 2000 scored predictions in total; near-perfect is expected.
     EXPECT_LT(wrong, 20);
@@ -59,7 +59,7 @@ TEST(Hybrid, BeatsWorseComponentAlone)
     const Addr pc = 0x40;
     for (int i = 0; i < 50; ++i) {
         hybrid.predict(pc);
-        hybrid.update(pc, true);
+        hybrid.predictAndUpdate(pc, true);
     }
     EXPECT_TRUE(hybrid.predict(pc));
 }
@@ -79,17 +79,11 @@ TEST(Hybrid, NameListsComponents)
     EXPECT_EQ(hybrid->name(), "hybrid(gshare-1K-h6,bimodal-1K)");
 }
 
-TEST(Hybrid, UpdateWithoutPredictIsTolerated)
-{
-    auto hybrid = makeStandardHybrid();
-    EXPECT_NO_THROW(hybrid->update(0x100, true));
-}
-
 TEST(Hybrid, ResetRestoresColdBehaviour)
 {
     auto hybrid = makeStandardHybrid();
     for (int i = 0; i < 100; ++i) {
-        hybrid->update(0x10, true);
+        hybrid->predictAndUpdate(0x10, true);
     }
     EXPECT_TRUE(hybrid->predict(0x10));
     hybrid->reset();
@@ -103,7 +97,7 @@ TEST(Hybrid, ForwardsUnconditionalNotifications)
     auto hybrid = makeStandardHybrid();
     for (int i = 0; i < 10; ++i) {
         hybrid->notifyUnconditional(0x500);
-        hybrid->update(0x100, true);
+        hybrid->predictAndUpdate(0x100, true);
     }
     EXPECT_NO_THROW(hybrid->predict(0x100));
 }

@@ -57,7 +57,8 @@ const GoldenRow goldenRows[] = {
     {"gskewed:1:8:6", 7143, 7143, 0x1c13efc51a7fd35d, 0x27a5002b4bd0e614},
     {"gskewed:3:8:6", 6066, 6066, 0x3f1b542376aaec4f, 0x26de296a7f97a7d2},
     {"gskewed:3:8:6:total", 6074, 6074, 0x9691cadd839cdc7f, 0x481a6da5f6bea3e9},
-    {"gskewed:3:8:6:partial-lazy", 6066, 6066, 0x5e76d5153564f902, 0xc0839004fa47c15d},
+    {"gskewed:3:8:6:partial-lazy", 6066, 6066, 0x5e76d5153564f902,
+     0xc0839004fa47c15d},
     {"gskewed:5:8:6", 6107, 6107, 0xa30d6ce840c84d1d, 0xb20dee987f299db},
     {"egskew:8:6", 5495, 5495, 0xb2d3d2e2c0b37bc3, 0xb0ac89ff94b02ee7},
     {"gskewedsh:3:8:6", 6194, 6194, 0x3cc843cc6ab4697b, 0x8f44b07b5901a25},

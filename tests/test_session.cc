@@ -428,8 +428,14 @@ namespace
 class SnapshotlessPredictor : public Predictor
 {
   public:
-    bool predict(Addr) override { return true; }
-    void update(Addr, bool) override {}
+    bool predict(Addr) const override { return true; }
+    Outcome predictAndUpdate(Addr, bool) override { return {true}; }
+    void notifyUnconditional(Addr) override {}
+    void
+    replayBlock(const BranchRecord *, std::size_t, ReplayCounters &,
+                ReplayScratch *) override
+    {
+    }
     std::string name() const override { return "snapshotless"; }
     u64 storageBits() const override { return 0; }
     void reset() override {}

@@ -59,7 +59,7 @@ TEST(SharedHysteresis, LearnsBiasedBranch)
     const Addr pc = 0x200;
     for (int i = 0; i < 12; ++i) {
         predictor.predict(pc);
-        predictor.update(pc, true);
+        predictor.predictAndUpdate(pc, true);
     }
     EXPECT_TRUE(predictor.predict(pc));
 }
@@ -75,7 +75,7 @@ TEST(SharedHysteresis, LearnsAlternatingBranch)
         if (i >= 200) {
             wrong += predictor.predict(pc) != outcome;
         }
-        predictor.update(pc, outcome);
+        predictor.predictAndUpdate(pc, outcome);
     }
     EXPECT_EQ(wrong, 0);
 }
@@ -89,7 +89,7 @@ TEST(SharedHysteresis, NeighbourSharingOnlyTouchesHysteresis)
     SharedHysteresisSkewedPredictor predictor(shConfig(6, 0));
     const Addr pc = 0x100;
     for (int i = 0; i < 8; ++i) {
-        predictor.update(pc, true);
+        predictor.predictAndUpdate(pc, true);
     }
     EXPECT_TRUE(predictor.predict(pc));
 }
@@ -114,7 +114,7 @@ TEST(SharedHysteresis, EnhancedVariantWorks)
     SharedHysteresisSkewedPredictor predictor(config);
     EXPECT_EQ(predictor.name(), "e-gskew-sh-3x64-h4-partial");
     for (int i = 0; i < 12; ++i) {
-        predictor.update(0x40, true);
+        predictor.predictAndUpdate(0x40, true);
     }
     EXPECT_TRUE(predictor.predict(0x40));
 }
@@ -124,7 +124,7 @@ TEST(SharedHysteresis, NameAndReset)
     SharedHysteresisSkewedPredictor predictor(shConfig(12, 8));
     EXPECT_EQ(predictor.name(), "gskewed-sh-3x4K-h8-partial");
     for (int i = 0; i < 12; ++i) {
-        predictor.update(0x40, true);
+        predictor.predictAndUpdate(0x40, true);
     }
     predictor.reset();
     EXPECT_FALSE(predictor.predict(0x40));

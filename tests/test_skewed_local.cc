@@ -28,7 +28,7 @@ TEST(SkewedLocal, LearnsShortLocalPattern)
         if (i >= 300) {
             wrong += predictor.predict(pc) != outcome;
         }
-        predictor.update(pc, outcome);
+        predictor.predictAndUpdate(pc, outcome);
     }
     EXPECT_EQ(wrong, 0);
 }
@@ -58,7 +58,7 @@ TEST(SkewedLocal, ResetForgets)
 {
     SkewedLocalPredictor predictor(6, 4, 3, 6);
     for (int i = 0; i < 30; ++i) {
-        predictor.update(0x10, true);
+        predictor.predictAndUpdate(0x10, true);
     }
     EXPECT_TRUE(predictor.predict(0x10));
     predictor.reset();
@@ -85,9 +85,9 @@ runConflictPair(P &predictor)
         const bool a_outcome = i % 2 == 0;          // T N T N
         const bool b_outcome = (i % 4) < 2;         // T T N N
         wrong += score && predictor.predict(a) != a_outcome;
-        predictor.update(a, a_outcome);
+        predictor.predictAndUpdate(a, a_outcome);
         wrong += score && predictor.predict(b) != b_outcome;
-        predictor.update(b, b_outcome);
+        predictor.predictAndUpdate(b, b_outcome);
     }
     return wrong;
 }
@@ -128,9 +128,9 @@ TEST(SkewedLocal, WinsOnConflictHeavyWorkload)
             site % 2 == 0 ? p % 2 == 0 : (p % 4) < 2;
         const bool score = i >= 20000;
         pag_wrong += score && pag.predict(pc) != outcome;
-        pag.update(pc, outcome);
+        pag.predictAndUpdate(pc, outcome);
         pskew_wrong += score && pskew.predict(pc) != outcome;
-        pskew.update(pc, outcome);
+        pskew.predictAndUpdate(pc, outcome);
     }
     EXPECT_LT(pskew_wrong, pag_wrong);
 }

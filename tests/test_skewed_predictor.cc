@@ -73,7 +73,7 @@ TEST(SkewedPredictor, LearnsBiasedBranch)
     // saturated context repeatedly.
     for (int i = 0; i < 12; ++i) {
         predictor.predict(pc);
-        predictor.update(pc, true);
+        predictor.predictAndUpdate(pc, true);
     }
     EXPECT_TRUE(predictor.predict(pc));
 }
@@ -91,7 +91,7 @@ TEST(SkewedPredictor, LearnsHistoryCorrelatedBranch)
         } else {
             predictor.predict(pc);
         }
-        predictor.update(pc, outcome);
+        predictor.predictAndUpdate(pc, outcome);
     }
     EXPECT_EQ(wrong, 0);
 }
@@ -133,7 +133,7 @@ TEST(SkewedPredictor, EnhancedBankZeroIgnoresHistory)
     const auto before = enhanced.bankIndices(pc);
     // Shift history by resolving another branch.
     enhanced.predict(0x500);
-    enhanced.update(0x500, true);
+    enhanced.predictAndUpdate(0x500, true);
     const auto after = enhanced.bankIndices(pc);
     EXPECT_EQ(before[0], after[0]); // address-only bank
     // Banks 1/2 see the new history; at least one index moves
@@ -166,8 +166,8 @@ TEST(SkewedPredictor, PartialUpdateLeavesDissentingBankAlone)
         const bool p1 = partial.predict(pc);
         const bool p2 = total.predict(pc);
         diverged = p1 != p2;
-        partial.update(pc, outcome);
-        total.update(pc, outcome);
+        partial.predictAndUpdate(pc, outcome);
+        total.predictAndUpdate(pc, outcome);
     }
     EXPECT_TRUE(diverged);
 }
@@ -188,7 +188,7 @@ TEST(SkewedPredictor, ResetRestoresColdState)
 {
     SkewedPredictor predictor(smallConfig());
     for (int i = 0; i < 8; ++i) {
-        predictor.update(0x100, true);
+        predictor.predictAndUpdate(0x100, true);
     }
     predictor.reset();
     EXPECT_FALSE(predictor.predict(0x100));
@@ -201,7 +201,7 @@ TEST(SkewedPredictor, FiveBankConfigWorks)
     SkewedPredictor predictor(config);
     const Addr pc = 0x900;
     for (int i = 0; i < 12; ++i) {
-        predictor.update(pc, true);
+        predictor.predictAndUpdate(pc, true);
     }
     EXPECT_TRUE(predictor.predict(pc));
     EXPECT_EQ(predictor.bankIndices(pc).size(), 5u);
@@ -214,7 +214,7 @@ TEST(SkewedPredictor, SingleBankDegeneratesToOneTable)
     SkewedPredictor predictor(config);
     const Addr pc = 0x100;
     for (int i = 0; i < 12; ++i) {
-        predictor.update(pc, true);
+        predictor.predictAndUpdate(pc, true);
     }
     EXPECT_TRUE(predictor.predict(pc));
     EXPECT_EQ(predictor.totalEntries(), 64u);

@@ -27,7 +27,7 @@ TEST(LocalTwoLevel, LearnsShortLocalPattern)
         } else {
             predictor.predict(pc);
         }
-        predictor.update(pc, outcome);
+        predictor.predictAndUpdate(pc, outcome);
     }
     EXPECT_EQ(wrong, 0);
 }
@@ -42,8 +42,8 @@ TEST(LocalTwoLevel, IndependentOfOtherBranches)
     // different branch; PAg's first level keeps their local
     // histories separate (distinct BHT entries).
     for (int i = 0; i < 50; ++i) {
-        predictor.update(a, true);
-        predictor.update(noise, i % 2 == 0);
+        predictor.predictAndUpdate(a, true);
+        predictor.predictAndUpdate(noise, i % 2 == 0);
     }
     EXPECT_TRUE(predictor.predict(a));
 }
@@ -65,7 +65,7 @@ TEST(LocalTwoLevel, ResetForgets)
 {
     LocalTwoLevelPredictor predictor(6, 4);
     for (int i = 0; i < 20; ++i) {
-        predictor.update(0x10, true);
+        predictor.predictAndUpdate(0x10, true);
     }
     EXPECT_TRUE(predictor.predict(0x10));
     predictor.reset();
@@ -78,7 +78,7 @@ TEST(LocalTwoLevel, BhtAliasingSharesHistory)
     const Addr a = 0x100;
     const Addr b = a + (16 << 2); // same BHT entry
     for (int i = 0; i < 30; ++i) {
-        predictor.update(a, true);
+        predictor.predictAndUpdate(a, true);
     }
     // b inherits a's saturated local history and thus its pattern
     // table entry.

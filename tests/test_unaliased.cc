@@ -17,7 +17,7 @@ TEST(Unaliased, FirstEncounterNotCharged)
 {
     UnaliasedPredictor predictor(4, 2);
     predictor.predict(0x100);
-    predictor.update(0x100, false); // cold: always-taken guess wrong
+    predictor.predictAndUpdate(0x100, false); // cold: always-taken guess wrong
     // Compulsory reference recorded, but no misprediction charged.
     EXPECT_EQ(predictor.dynamicBranches(), 1u);
     EXPECT_DOUBLE_EQ(predictor.mispredictionRatio(), 0.0);
@@ -36,9 +36,9 @@ TEST(Unaliased, LearnsPerSubstream)
     for (int i = 0; i < 50; ++i) {
         const bool phase = i % 2 == 0;
         predictor.predict(setup);
-        predictor.update(setup, phase);
+        predictor.predictAndUpdate(setup, phase);
         predictor.predict(pc);
-        predictor.update(pc, phase);
+        predictor.predictAndUpdate(pc, phase);
     }
     // After warm-up no mispredictions should accumulate further.
     const u64 before = predictor.dynamicBranches();
@@ -46,9 +46,9 @@ TEST(Unaliased, LearnsPerSubstream)
     for (int i = 0; i < 50; ++i) {
         const bool phase = i % 2 == 0;
         predictor.predict(setup);
-        predictor.update(setup, phase);
+        predictor.predictAndUpdate(setup, phase);
         predictor.predict(pc);
-        predictor.update(pc, phase);
+        predictor.predictAndUpdate(pc, phase);
     }
     EXPECT_EQ(predictor.dynamicBranches(), before + 100);
     EXPECT_LE(predictor.mispredictionRatio(), ratio_before + 1e-12);
@@ -59,11 +59,11 @@ TEST(Unaliased, SubstreamRatioCountsHistories)
     UnaliasedPredictor predictor(2, 2);
     const Addr pc = 0x100;
     // Drive pc under all four 2-bit histories.
-    predictor.update(pc, true);  // hist 00 -> new pair
-    predictor.update(pc, true);  // hist 01 -> new pair
-    predictor.update(pc, true);  // hist 11 -> new pair
-    predictor.update(pc, false); // hist 11 (again) -> existing
-    predictor.update(pc, true);  // hist 10 -> new pair
+    predictor.predictAndUpdate(pc, true);  // hist 00 -> new pair
+    predictor.predictAndUpdate(pc, true);  // hist 01 -> new pair
+    predictor.predictAndUpdate(pc, true);  // hist 11 -> new pair
+    predictor.predictAndUpdate(pc, false); // hist 11 (again) -> existing
+    predictor.predictAndUpdate(pc, true);  // hist 10 -> new pair
     EXPECT_EQ(predictor.numStaticBranches(), 1u);
     EXPECT_EQ(predictor.numSubstreams(), 4u);
     EXPECT_DOUBLE_EQ(predictor.substreamRatio(), 4.0);
@@ -72,9 +72,9 @@ TEST(Unaliased, SubstreamRatioCountsHistories)
 TEST(Unaliased, ZeroHistoryDegeneratesToPerAddress)
 {
     UnaliasedPredictor predictor(0, 2);
-    predictor.update(0x100, true);
-    predictor.update(0x100, false);
-    predictor.update(0x104, true);
+    predictor.predictAndUpdate(0x100, true);
+    predictor.predictAndUpdate(0x100, false);
+    predictor.predictAndUpdate(0x104, true);
     EXPECT_EQ(predictor.numSubstreams(), 2u);
     EXPECT_DOUBLE_EQ(predictor.substreamRatio(), 1.0);
 }
@@ -90,9 +90,9 @@ TEST(Unaliased, OneBitWorseThanTwoBitOnLoops)
     for (int i = 0; i < 1000; ++i) {
         const bool outcome = i % 10 != 9;
         one_bit.predict(pc);
-        one_bit.update(pc, outcome);
+        one_bit.predictAndUpdate(pc, outcome);
         two_bit.predict(pc);
-        two_bit.update(pc, outcome);
+        two_bit.predictAndUpdate(pc, outcome);
     }
     EXPECT_GT(one_bit.mispredictionRatio(),
               two_bit.mispredictionRatio());
@@ -104,7 +104,7 @@ TEST(Unaliased, CompulsoryRatioFallsOverTime)
     const Addr pc = 0x80;
     for (int i = 0; i < 1000; ++i) {
         predictor.predict(pc);
-        predictor.update(pc, true);
+        predictor.predictAndUpdate(pc, true);
     }
     // One address, all-taken history: at most a handful of distinct
     // pairs; compulsory ratio tends to ~pairs/1000.
@@ -115,8 +115,8 @@ TEST(Unaliased, StorageGrowsWithPairs)
 {
     UnaliasedPredictor predictor(4, 2);
     EXPECT_EQ(predictor.storageBits(), 0u);
-    predictor.update(0x100, true);
-    predictor.update(0x104, true);
+    predictor.predictAndUpdate(0x100, true);
+    predictor.predictAndUpdate(0x104, true);
     EXPECT_EQ(predictor.storageBits(),
               predictor.numSubstreams() * 2);
 }
@@ -124,7 +124,7 @@ TEST(Unaliased, StorageGrowsWithPairs)
 TEST(Unaliased, ResetClearsEverything)
 {
     UnaliasedPredictor predictor(4, 2);
-    predictor.update(0x100, true);
+    predictor.predictAndUpdate(0x100, true);
     predictor.reset();
     EXPECT_EQ(predictor.dynamicBranches(), 0u);
     EXPECT_EQ(predictor.numSubstreams(), 0u);

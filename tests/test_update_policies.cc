@@ -48,8 +48,8 @@ TEST(UpdatePolicies, LazyPredictsExactlyLikePartial)
     SkewedPredictor lazy(policyConfig(UpdatePolicy::PartialLazy));
     driveStream([&](Addr pc, bool outcome) {
         ASSERT_EQ(partial.predict(pc), lazy.predict(pc));
-        partial.update(pc, outcome);
-        lazy.update(pc, outcome);
+        partial.predictAndUpdate(pc, outcome);
+        lazy.predictAndUpdate(pc, outcome);
     });
 }
 
@@ -58,8 +58,8 @@ TEST(UpdatePolicies, LazyWritesStrictlyFewer)
     SkewedPredictor partial(policyConfig(UpdatePolicy::Partial));
     SkewedPredictor lazy(policyConfig(UpdatePolicy::PartialLazy));
     driveStream([&](Addr pc, bool outcome) {
-        partial.update(pc, outcome);
-        lazy.update(pc, outcome);
+        partial.predictAndUpdate(pc, outcome);
+        lazy.predictAndUpdate(pc, outcome);
     });
     EXPECT_LT(lazy.bankWrites(), partial.bankWrites());
     // On a strongly biased stream most updates strengthen an
@@ -72,7 +72,7 @@ TEST(UpdatePolicies, TotalWritesEveryBankEveryUpdate)
     SkewedPredictor total(policyConfig(UpdatePolicy::Total));
     const int branches = 5000;
     driveStream(
-        [&](Addr pc, bool outcome) { total.update(pc, outcome); },
+        [&](Addr pc, bool outcome) { total.predictAndUpdate(pc, outcome); },
         branches);
     EXPECT_EQ(total.bankWrites(), u64(branches) * 3);
 }
@@ -82,7 +82,7 @@ TEST(UpdatePolicies, PartialWritesAtMostTotal)
     SkewedPredictor partial(policyConfig(UpdatePolicy::Partial));
     const int branches = 5000;
     driveStream(
-        [&](Addr pc, bool outcome) { partial.update(pc, outcome); },
+        [&](Addr pc, bool outcome) { partial.predictAndUpdate(pc, outcome); },
         branches);
     EXPECT_LE(partial.bankWrites(), u64(branches) * 3);
     EXPECT_GT(partial.bankWrites(), 0u);
@@ -91,7 +91,7 @@ TEST(UpdatePolicies, PartialWritesAtMostTotal)
 TEST(UpdatePolicies, ResetClearsWriteCounter)
 {
     SkewedPredictor predictor(policyConfig(UpdatePolicy::Partial));
-    predictor.update(0x100, true);
+    predictor.predictAndUpdate(0x100, true);
     EXPECT_GT(predictor.bankWrites(), 0u);
     predictor.reset();
     EXPECT_EQ(predictor.bankWrites(), 0u);

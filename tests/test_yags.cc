@@ -21,8 +21,8 @@ TEST(Yags, LearnsBiasedBranches)
     const Addr taken_pc = 0x100;
     const Addr not_taken_pc = 0x104;
     for (int i = 0; i < 20; ++i) {
-        predictor.update(taken_pc, true);
-        predictor.update(not_taken_pc, false);
+        predictor.predictAndUpdate(taken_pc, true);
+        predictor.predictAndUpdate(not_taken_pc, false);
     }
     EXPECT_TRUE(predictor.predict(taken_pc));
     EXPECT_FALSE(predictor.predict(not_taken_pc));
@@ -45,7 +45,7 @@ TEST(Yags, ExceptionCacheCatchesBiasViolations)
         if (i >= 400) {
             wrong += predictor.predict(pc) != outcome;
         }
-        predictor.update(pc, outcome);
+        predictor.predictAndUpdate(pc, outcome);
     }
     EXPECT_EQ(wrong, 0);
 }
@@ -58,7 +58,7 @@ TEST(Yags, OnlyExceptionsAllocate)
     YagsPredictor predictor(6, 4, 6);
     const Addr pc = 0x300;
     for (int i = 0; i < 50; ++i) {
-        predictor.update(pc, true);
+        predictor.predictAndUpdate(pc, true);
     }
     EXPECT_TRUE(predictor.predict(pc));
 }
@@ -78,14 +78,14 @@ TEST(Yags, TagsIsolateUnrelatedBranches)
     for (int i = 0; i < 300; ++i) {
         const bool score = i >= 100;
         yags_wrong += score && yags.predict(a) != true;
-        yags.update(a, true);
+        yags.predictAndUpdate(a, true);
         gshare_wrong += score && gshare.predict(a) != true;
-        gshare.update(a, true);
+        gshare.predictAndUpdate(a, true);
 
         yags_wrong += score && yags.predict(b) != false;
-        yags.update(b, false);
+        yags.predictAndUpdate(b, false);
         gshare_wrong += score && gshare.predict(b) != false;
-        gshare.update(b, false);
+        gshare.predictAndUpdate(b, false);
     }
     EXPECT_EQ(yags_wrong, 0);
     EXPECT_GE(gshare_wrong, 180);
@@ -103,7 +103,7 @@ TEST(Yags, ResetRestoresColdState)
 {
     YagsPredictor predictor(8, 4, 8);
     for (int i = 0; i < 30; ++i) {
-        predictor.update(0x40, false);
+        predictor.predictAndUpdate(0x40, false);
     }
     EXPECT_FALSE(predictor.predict(0x40));
     predictor.reset();

@@ -53,7 +53,7 @@ allRules()
          ruleLayering},
         {"scheme-coverage",
          "every factory scheme has snapshot overrides, a block "
-         "kernel or scalar-only waiver, and contract-test coverage",
+         "kernel, and contract-test coverage",
          ruleSchemeCoverage},
         {"lock-discipline",
          "fields annotated guarded_by(<mutex>) are only touched "

@@ -153,6 +153,14 @@ collectClasses(const SourceFile &file, std::size_t file_index,
             while (end < head.size() && isIdentChar(head[end])) {
                 ++end;
             }
+            // `struct Outer::Inner {` defines the nested Inner.
+            while (end < head.size() && head.compare(end, 2, "::") == 0) {
+                pos = end + 2;
+                end = pos;
+                while (end < head.size() && isIdentChar(head[end])) {
+                    ++end;
+                }
+            }
             if (pos >= head.size() || pos == end || pos >= body) {
                 continue;
             }
@@ -164,15 +172,22 @@ collectClasses(const SourceFile &file, std::size_t file_index,
 
             // Bases: identifiers between ':' and '{', keeping the
             // last complete identifier of each comma-separated
-            // specifier ("public bpred::Predictor" -> "Predictor").
+            // specifier ("public bpred::Predictor" -> "Predictor")
+            // outside template arguments ("BlockPredictor<X>" ->
+            // "BlockPredictor").
             const std::size_t colon = head.find(':', end);
             if (colon != std::string::npos && colon < body &&
                 (colon + 1 >= head.size() ||
                  head[colon + 1] != ':')) {
                 std::string base;
                 std::string last;
+                int depth = 0;
                 for (std::size_t p = colon + 1; p <= body; ++p) {
                     const char c = p < body ? head[p] : ',';
+                    depth += int(c == '<') - int(c == '>');
+                    if (depth > 0 || c == '>') {
+                        continue;
+                    }
                     if (isIdentChar(c)) {
                         base += c;
                         continue;
@@ -301,7 +316,7 @@ collectGuarded(const SourceFile &file,
 
 /**
  * Parse factory facts: the listSchemes() table (entry names +
- * lines), fingerprint overrides, scalar-only waivers, and the
+ * lines), fingerprint overrides, and the
  * makePredictor() branch -> make_unique<Class> mapping.
  */
 void
@@ -364,42 +379,26 @@ parseFactory(const RepoTree &tree, std::size_t factory_index,
         }
     }
 
-    // --- declared overrides and waivers (raw lines: they live in
+    // --- declared fingerprint overrides (raw lines: they live in
     // comments).
-    for (std::size_t i = 0; i < factory.lines.size(); ++i) {
-        const std::string &line = factory.lines[i];
-        {
-            static const std::string marker = "bp_lint: fingerprint(";
-            const std::size_t at = line.find(marker);
-            if (at != std::string::npos) {
-                const std::size_t open = at + marker.size();
-                const std::size_t close = line.find(')', open);
-                const std::size_t eq = line.find('=', open);
-                if (close != std::string::npos &&
-                    eq != std::string::npos && eq > close) {
-                    std::string prefix = line.substr(eq + 1);
-                    const std::size_t end =
-                        prefix.find_first_of(" \t");
-                    if (end != std::string::npos) {
-                        prefix.resize(end);
-                    }
-                    model.fingerprintOverrides
-                        [line.substr(open, close - open)] = prefix;
-                }
-            }
+    static const std::string marker = "bp_lint: fingerprint(";
+    for (const std::string &line : factory.lines) {
+        const std::size_t at = line.find(marker);
+        if (at == std::string::npos) {
+            continue;
         }
-        {
-            static const std::string marker =
-                "bp_lint: scalar-only(";
-            const std::size_t at = line.find(marker);
-            if (at != std::string::npos) {
-                const std::size_t open = at + marker.size();
-                const std::size_t close = line.find(')', open);
-                if (close != std::string::npos) {
-                    model.scalarOnlyWaivers
-                        [line.substr(open, close - open)] = i + 1;
-                }
+        const std::size_t open = at + marker.size();
+        const std::size_t close = line.find(')', open);
+        const std::size_t eq = line.find('=', open);
+        if (close != std::string::npos && eq != std::string::npos &&
+            eq > close) {
+            std::string prefix = line.substr(eq + 1);
+            const std::size_t end = prefix.find_first_of(" \t");
+            if (end != std::string::npos) {
+                prefix.resize(end);
             }
+            model.fingerprintOverrides[line.substr(open, close - open)] =
+                prefix;
         }
     }
 

@@ -19,7 +19,7 @@
  *    ancestor declare saveState()?" across files;
  *  - scheme-table facts parsed from src/sim/factory.cc: the
  *    listSchemes() entries, the makePredictor() branch -> class
- *    mapping, fingerprint overrides, and scalar-only waivers;
+ *    mapping, and fingerprint overrides;
  *  - every `bp_lint: guarded_by(<mutex>)` annotation in the tree,
  *    resolved to the field or function it is attached to.
  *
@@ -167,9 +167,6 @@ struct ProjectModel
 
     /** bp_lint: fingerprint(<scheme>)=<prefix> overrides. */
     std::map<std::string, std::string> fingerprintOverrides;
-
-    /** bp_lint: scalar-only(<scheme>) waivers -> 1-based line. */
-    std::map<std::string, std::size_t> scalarOnlyWaivers;
 
     /** Every guarded_by annotation in the tree. */
     std::vector<GuardedEntity> guardedEntities;

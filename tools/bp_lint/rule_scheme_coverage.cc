@@ -16,9 +16,8 @@
  *     the base-class default is exactly the empty-snapshot bug this
  *     rule exists to catch;
  *  2. the class hierarchy provides a block-replay kernel
- *     (replayBlock / block_kernel mention), or factory.cc carries
- *     an explicit `bp_lint: scalar-only(<scheme>)` waiver saying
- *     the scalar path is intentional;
+ *     (replayBlock / block_kernel mention) — in this tree, by
+ *     deriving from BlockPredictor;
  *  3. the scheme appears in test_predictor_contract's sweep, so the
  *     contract suite actually exercises it.
  *
@@ -104,29 +103,13 @@ ruleSchemeCoverage(const RepoTree &tree,
             }
         }
 
-        // 2. Block kernel somewhere in the hierarchy, or an
-        //    explicit scalar-only waiver.
-        const bool waived =
-            model.scalarOnlyWaivers.count(scheme.name) != 0;
-        const bool hasKernel =
-            model.hierarchyMentions(tree, primary, "replayBlock") ||
-            model.hierarchyMentions(tree, primary, "block_kernel");
-        if (!waived && !hasKernel) {
+        // 2. Block kernel somewhere in the hierarchy.
+        if (!model.hierarchyMentions(tree, primary, "replayBlock") &&
+            !model.hierarchyMentions(tree, primary, "block_kernel")) {
             findings.push_back(
                 {"scheme-coverage", model.factoryFile, scheme.line,
                  "scheme '" + scheme.name + "': hierarchy of " +
-                     primary +
-                     " provides no replayBlock/block_kernel and "
-                     "factory.cc declares no bp_lint: scalar-only(" +
-                     scheme.name + ") waiver"});
-        } else if (waived && hasKernel) {
-            findings.push_back(
-                {"scheme-coverage", model.factoryFile,
-                 model.scalarOnlyWaivers.at(scheme.name),
-                 "scheme '" + scheme.name +
-                     "' declares a scalar-only waiver but its "
-                     "hierarchy has a block kernel — drop the "
-                     "stale waiver"});
+                     primary + " provides no replayBlock/block_kernel"});
         }
 
         // 3. Contract-test sweep coverage.
