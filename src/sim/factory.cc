@@ -26,18 +26,62 @@ namespace
 
 constexpr bool kOpt = true;
 
+// Field bounds, from what the predictors assume: table indices up to
+// 28 bits (SkewedPredictor::validated's limit, 2^28 counters a
+// table), the 64-bit global history register, the 44 history bits
+// packInfoVector() has room for beside a word-aligned PC, u16 local
+// histories and yags tags, and 8-bit counters.
+constexpr unsigned maxIndexBits = 28;
+constexpr unsigned maxGlobalHistoryBits = 64;
+constexpr unsigned maxVectorHistoryBits = 44;
+constexpr unsigned maxLocalHistoryBits = 16;
+constexpr unsigned maxTagBits = 16;
+constexpr unsigned maxCounterBits = 8;
+
 SpecFieldInfo
-num(std::string name, bool optional = false,
-    std::string default_value = "")
+num(std::string name, unsigned min_value, unsigned max_value,
+    bool optional = false, std::string default_value = "")
 {
     return {std::move(name), SpecFieldKind::Number, optional,
-            std::move(default_value)};
+            std::move(default_value), min_value, max_value};
+}
+
+SpecFieldInfo
+indexBits(std::string name = "index_bits")
+{
+    return num(std::move(name), 1, maxIndexBits);
+}
+
+/** History for a gshare-style index: the whole global register. */
+SpecFieldInfo
+globalHistoryBits()
+{
+    return num("history_bits", 0, maxGlobalHistoryBits);
+}
+
+/** History packed into the information vector beside the PC. */
+SpecFieldInfo
+vectorHistoryBits()
+{
+    return num("history_bits", 0, maxVectorHistoryBits);
+}
+
+SpecFieldInfo
+localHistoryBits()
+{
+    return num("local_history_bits", 1, maxLocalHistoryBits);
+}
+
+SpecFieldInfo
+banks()
+{
+    return num("banks", 1, maxSkewBanks);
 }
 
 SpecFieldInfo
 counterBits()
 {
-    return num("counter_bits", kOpt, "2");
+    return num("counter_bits", 1, maxCounterBits, kOpt, "2");
 }
 
 SpecFieldInfo
@@ -104,8 +148,16 @@ canonicalizeField(const SpecFieldInfo &info, const std::string &value,
                   const std::string &spec)
 {
     switch (info.kind) {
-      case SpecFieldKind::Number:
-        return std::to_string(parseUnsigned(value, spec));
+      case SpecFieldKind::Number: {
+        const unsigned number = parseUnsigned(value, spec);
+        if (number < info.minValue || number > info.maxValue) {
+            fatal("predictor spec '" + spec + "': field " + info.name +
+                  " must be in [" + std::to_string(info.minValue) +
+                  ", " + std::to_string(info.maxValue) + "] (got " +
+                  std::to_string(number) + ")");
+        }
+        return std::to_string(number);
+      }
       case SpecFieldKind::Policy:
         parsePolicy(value, spec);
         return value;
@@ -163,54 +215,56 @@ listSchemes()
          {{"direction", SpecFieldKind::Direction, false, ""}},
          "static:taken"},
         {"bimodal", "PC-indexed counter table (paper section 2)",
-         {num("index_bits"), counterBits()}, "bimodal:14"},
+         {indexBits(), counterBits()}, "bimodal:14"},
         {"gshare", "global history XOR PC index",
-         {num("index_bits"), num("history_bits"), counterBits()},
+         {indexBits(), globalHistoryBits(), counterBits()},
          "gshare:14:12"},
         {"gselect", "global history concatenated with PC bits",
-         {num("index_bits"), num("history_bits"), counterBits()},
+         {indexBits(), globalHistoryBits(), counterBits()},
          "gselect:12:6"},
         {"pag", "per-address history, global counter table",
-         {num("bht_index_bits"), num("local_history_bits"),
+         {indexBits("bht_index_bits"), localHistoryBits(),
           counterBits()},
          "pag:10:8"},
         {"agree", "gshare direction vs per-site bias bit",
-         {num("index_bits"), num("history_bits"),
-          num("bias_index_bits"), counterBits()},
+         {indexBits(), globalHistoryBits(),
+          indexBits("bias_index_bits"), counterBits()},
          "agree:14:10:12"},
         {"bimode", "taken/not-taken banks + choice table",
-         {num("dir_index_bits"), num("history_bits"),
-          num("choice_index_bits"), counterBits()},
+         {indexBits("dir_index_bits"), globalHistoryBits(),
+          indexBits("choice_index_bits"), counterBits()},
          "bimode:13:10:12"},
         {"yags", "tagged exception caches over a choice table",
-         {num("cache_index_bits"), num("history_bits"),
-          num("choice_index_bits"), num("tag_bits", kOpt, "6")},
+         {indexBits("cache_index_bits"), globalHistoryBits(),
+          indexBits("choice_index_bits"),
+          num("tag_bits", 0, maxTagBits, kOpt, "6")},
          "yags:10:8:11"},
         {"hybrid", "gshare + bimodal with a chooser table",
-         {num("index_bits"), num("history_bits")}, "hybrid:14:12"},
+         {indexBits(), globalHistoryBits()}, "hybrid:14:12"},
         {"gskewed", "skewed multi-bank with majority vote (section 4)",
-         {num("banks"), num("bank_index_bits"), num("history_bits"),
+         {banks(), indexBits("bank_index_bits"), vectorHistoryBits(),
           policy()},
          "gskewed:3:12:8"},
         {"egskew", "enhanced gskewed: bank 0 is PC-indexed (section 6)",
-         {num("bank_index_bits"), num("history_bits"), policy()},
+         {indexBits("bank_index_bits"), vectorHistoryBits(), policy()},
          "egskew:12:11"},
         {"gskewedsh", "gskewed with shared hysteresis bits",
-         {num("banks"), num("bank_index_bits"), num("history_bits"),
+         {banks(), indexBits("bank_index_bits"), vectorHistoryBits(),
           policy()},
          "gskewedsh:3:12:8"},
         {"egskewsh", "e-gskew with shared hysteresis bits",
-         {num("bank_index_bits"), num("history_bits"), policy()},
+         {indexBits("bank_index_bits"), vectorHistoryBits(), policy()},
          "egskewsh:12:8"},
         {"pskew", "per-address history into skewed banks",
-         {num("bht_index_bits"), num("local_history_bits"),
-          num("banks"), num("bank_index_bits"), policy()},
+         {indexBits("bht_index_bits"), localHistoryBits(), banks(),
+          indexBits("bank_index_bits"), policy()},
          "pskew:10:8:3:12"},
         {"falru", "fully-associative LRU tag store (conflict-free)",
-         {num("entries"), num("history_bits"), counterBits()},
+         {num("entries", 1, 1u << maxIndexBits), vectorHistoryBits(),
+          counterBits()},
          "falru:4096:4"},
         {"unaliased", "one counter per (site, history) — no aliasing",
-         {num("history_bits"), counterBits()}, "unaliased:12"},
+         {vectorHistoryBits(), counterBits()}, "unaliased:12"},
     };
     return schemes;
 }

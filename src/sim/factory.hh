@@ -55,6 +55,10 @@ struct SpecFieldInfo
 
     /** Value assumed when an optional field is omitted. */
     std::string defaultValue;
+
+    /** Accepted range of a Number field (inclusive). */
+    unsigned minValue = 0;
+    unsigned maxValue = 1'000'000'000;
 };
 
 /** Descriptor of one predictor scheme the factory can build. */

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "sim/factory.hh"
 #include "support/logging.hh"
 
@@ -94,6 +97,45 @@ TEST(Factory, RejectsBadNumbers)
     EXPECT_THROW(makePredictor("gshare:abc:4"), FatalError);
     EXPECT_THROW(makePredictor("bimodal:99999999999"), FatalError);
     EXPECT_THROW(makePredictor("falru:0:4"), FatalError);
+}
+
+TEST(Factory, RejectsOutOfRangeFields)
+{
+    // Each spec names the field it breaks. Before range checks
+    // these crashed (SIGSEGV), threw std::bad_alloc, or built a
+    // predictor whose index, history or tag silently overflowed.
+    const std::pair<const char *, const char *> cases[] = {
+        {"gshare:64:10", "index_bits"},
+        {"agree:8:6:64", "bias_index_bits"},
+        {"hybrid:64:4", "index_bits"},
+        {"gshare:34:4", "index_bits"},
+        {"pag:40:4", "bht_index_bits"},
+        {"bimodal:8:0", "counter_bits"},
+        {"gshare:8:70", "history_bits"},
+        {"pag:8:70", "local_history_bits"},
+        {"gskewed:3:8:70", "history_bits"},
+        {"yags:8:6:8:70", "tag_bits"},
+        {"gskewed:3:40:8", "bank_index_bits"},
+    };
+    for (const auto &[spec, field] : cases) {
+        SCOPED_TRACE(spec);
+        try {
+            parseSpec(spec);
+            ADD_FAILURE() << "accepted";
+        } catch (const FatalError &error) {
+            EXPECT_NE(std::string(error.what()).find(field),
+                      std::string::npos)
+                << error.what();
+        }
+    }
+}
+
+TEST(Factory, AcceptsFieldsAtTheirBounds)
+{
+    EXPECT_NO_THROW(parseSpec("gshare:28:64:8"));
+    EXPECT_NO_THROW(parseSpec("pag:1:16:1"));
+    EXPECT_NO_THROW(parseSpec("gskewed:5:1:44"));
+    EXPECT_NO_THROW(parseSpec("yags:8:0:8:16"));
 }
 
 TEST(Factory, RejectsBadPolicy)

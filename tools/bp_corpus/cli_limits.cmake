@@ -5,7 +5,8 @@
 # Out-of-range and malformed values must be usage errors (exit 2),
 # rejected before the trace directory is looked at. Values at the
 # limit get past parsing and fail on the missing directory instead
-# (exit 1).
+# (exit 1). An out-of-range --spec field is a fatal error (exit 1)
+# that names the field, raised before the directory is listed.
 
 function(expect_exit want)
     execute_process(
@@ -21,6 +22,7 @@ function(expect_exit want)
     if(want EQUAL 2 AND NOT err MATCHES "usage: bp_corpus")
         message(FATAL_ERROR "bp_corpus ${ARGN}: no usage text\n${err}")
     endif()
+    set(last_err "${err}" PARENT_SCOPE)
 endfunction()
 
 expect_exit(2 --block-size 18446744073709551615)
@@ -34,3 +36,9 @@ expect_exit(2 --topk 12x)
 expect_exit(1 --topk 1048576)
 expect_exit(2 --threads 4097)
 expect_exit(1 --threads 0)
+expect_exit(1 --spec gshare:64:10)
+if(NOT last_err MATCHES "index_bits")
+    message(FATAL_ERROR
+        "bp_corpus --spec gshare:64:10: error does not name the "
+        "field\n${last_err}")
+endif()
