@@ -80,9 +80,11 @@ struct YagsPredictor::State
         }
 
         // Choice table trains like bi-mode: skip the update when the
-        // bias was wrong but the exception cache covered it.
-        const bool covered = tag_hit && (entry->counter >= 2) == taken;
-        if (!(bias != taken && covered)) {
+        // bias was wrong but the exception entry, as consulted before
+        // it trained, predicted correctly. (A miss predicts the
+        // bias, so a right prediction against a wrong bias implies a
+        // tag hit.)
+        if (!(bias != taken && prediction == taken)) {
             choiceTable.update(addressIndex(pc, choiceIndexBits), taken);
         }
         history.shiftIn(taken);

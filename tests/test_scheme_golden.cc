@@ -52,7 +52,7 @@ const GoldenRow goldenRows[] = {
     {"pag:8:6", 6648, 6648, 0xfed4381845e96bd6, 0x8f44b07b5901a25},
     {"agree:8:6:8", 7309, 7309, 0xc6c21f5d098b7b53, 0xf5b03271d182b2a2},
     {"bimode:8:6:8", 6475, 6475, 0xc31a37462a9d598e, 0x8f44b07b5901a25},
-    {"yags:8:6:8", 5949, 5949, 0x6a4bf76ef03a6d56, 0x8f44b07b5901a25},
+    {"yags:8:6:8", 5970, 5970, 0x3952c5964f1268b3, 0x8f44b07b5901a25},
     {"hybrid:8:6", 6328, 6328, 0xa42cd5d4b2f92ad4, 0x68bcc6d227a13a9d},
     {"gskewed:1:8:6", 7143, 7143, 0x1c13efc51a7fd35d, 0x27a5002b4bd0e614},
     {"gskewed:3:8:6", 6066, 6066, 0x3f1b542376aaec4f, 0x26de296a7f97a7d2},

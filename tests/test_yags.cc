@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "predictors/gshare.hh"
 #include "predictors/yags.hh"
 #include "sim/driver.hh"
@@ -26,6 +29,32 @@ TEST(Yags, LearnsBiasedBranches)
     }
     EXPECT_TRUE(predictor.predict(taken_pc));
     EXPECT_FALSE(predictor.predict(not_taken_pc));
+}
+
+TEST(Yags, ChoiceTrainsWhenTheExceptionEntryMispredicts)
+{
+    // One site, no history. N, N, T, N leave the choice counter at
+    // 0 (bias not-taken) and a taken-cache exception entry at 1
+    // (weakly not-taken). The fifth branch is taken: bias and entry
+    // both predict not-taken, a miss. Bi-mode's rule skips the
+    // choice update only when the consulted entry was right, so the
+    // choice counter moves 0 -> 1 — even though training the entry
+    // has just moved it to 2, which reads as "taken".
+    YagsPredictor predictor(4, 0, 4, 6);
+    const Addr pc = 0x40; // choice index 0
+    for (const bool taken : {false, false, true, false}) {
+        predictor.predictAndUpdate(pc, taken);
+    }
+    EXPECT_FALSE(predictor.predictAndUpdate(pc, true).prediction);
+
+    std::ostringstream os;
+    predictor.saveState(os);
+    const std::string bytes = os.str();
+    // Two caches of 16 four-byte entries, each behind a u64 count,
+    // then the choice table's u64 count and u8 width.
+    const std::size_t choice_at = 2 * (8 + 16 * 4) + 8 + 1;
+    ASSERT_GT(bytes.size(), choice_at);
+    EXPECT_EQ(int(u8(bytes[choice_at])), 1);
 }
 
 TEST(Yags, ExceptionCacheCatchesBiasViolations)
