@@ -53,8 +53,10 @@ struct SkewedPredictor::State
         return votes_taken * 2 > NumBanks;
     }
 
+    // Forced inline: at one bank GCC otherwise keeps this as a call
+    // per branch, spilling the lifted state the kernel relies on.
     template <typename Sink>
-    bool
+    [[gnu::always_inline]] bool
     step(Addr pc, bool taken, Sink &sink)
     {
         // Per-bank indices and votes with the pre-branch history,

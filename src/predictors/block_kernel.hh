@@ -44,8 +44,11 @@
  *                            ReplayCounters &, ReplayScratch &);
  *    which returns false to decline (wrong mode or geometry).
  *
- * Each scheme's .cc includes this header after its State and ends
- * with `template class BlockPredictor<Scheme>;`.
+ * Each scheme's .cc includes this header and ends with
+ * `template class BlockPredictor<Scheme>;`. Include it from nowhere
+ * else: a translation unit that sees these definitions and
+ * constructs some other scheme would instantiate that scheme's
+ * members without its (private, .cc-local) State.
  */
 
 #pragma once

@@ -64,10 +64,6 @@ namespace bpred
 /** Records per resolve sub-batch; phase 2 prefetches one ahead. */
 constexpr std::size_t simdSubBatch = 64;
 
-/** Prefetch distance (in conditionals) used by record-walking
- * resolvers that cannot batch (the hybrid's component walk). */
-constexpr std::size_t simdPrefetchDistance = 64;
-
 /**
  * Records per phase tile: the phases run tile-by-tile inside each
  * replay block so the staging arrays a tile touches (~21 KiB at

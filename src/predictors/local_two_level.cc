@@ -1,7 +1,5 @@
 #include "predictors/local_two_level.hh"
 
-#include <cassert>
-
 #include "predictors/block_kernel.hh"
 #include "predictors/info_vector.hh"
 #include "support/logging.hh"
@@ -19,7 +17,9 @@ LocalTwoLevelPredictor::LocalTwoLevelPredictor(unsigned bht_index_bits,
       bhtIndexBits(bht_index_bits),
       localHistoryBits(local_history_bits)
 {
-    assert(local_history_bits >= 1 && local_history_bits <= 16);
+    if (local_history_bits < 1 || local_history_bits > 16) {
+        fatal("pag: local history length out of range");
+    }
 }
 
 /** PAg state lifted into locals (see block_kernel.hh). */

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "predictors/local_two_level.hh"
+#include "support/logging.hh"
 
 namespace bpred
 {
@@ -53,6 +54,14 @@ TEST(LocalTwoLevel, StorageBitsAccountsBothLevels)
     LocalTwoLevelPredictor predictor(10, 8, 2);
     // BHT: 2^10 entries x 8 bits; PHT: 2^8 entries x 2 bits.
     EXPECT_EQ(predictor.storageBits(), 1024u * 8 + 256u * 2);
+}
+
+TEST(LocalTwoLevel, RejectsLocalHistoryOutOfRange)
+{
+    // Local histories live in u16 entries; the bound holds in every
+    // build type, not only where assert() is compiled in.
+    EXPECT_THROW(LocalTwoLevelPredictor(8, 0), FatalError);
+    EXPECT_THROW(LocalTwoLevelPredictor(8, 17), FatalError);
 }
 
 TEST(LocalTwoLevel, Name)
