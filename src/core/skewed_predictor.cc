@@ -36,19 +36,13 @@ struct SkewedPredictor::State
     u64 bankWrites = 0;
     SkewedPredictor *owner;
 
-    u64
-    bankIndexOf(unsigned bank, Addr pc) const
-    {
-        return skewedBankIndex(config, bank, pc, history.raw());
-    }
-
     bool
     predict(Addr pc) const
     {
         unsigned votes_taken = 0;
         for (unsigned bank = 0; bank < NumBanks; ++bank) {
-            votes_taken +=
-                unsigned(banks[bank].predictTaken(bankIndexOf(bank, pc)));
+            votes_taken += unsigned(banks[bank].predictTaken(
+                skewedBankIndex(config, bank, pc, history.raw())));
         }
         return votes_taken * 2 > NumBanks;
     }
@@ -66,7 +60,8 @@ struct SkewedPredictor::State
         u8 values[NumBanks];
         bool bank_predictions[NumBanks];
         for (unsigned bank = 0; bank < NumBanks; ++bank) {
-            indices[bank] = bankIndexOf(bank, pc);
+            indices[bank] =
+                skewedBankIndex(config, bank, pc, history.raw());
             values[bank] = banks[bank].value(indices[bank]);
             bank_predictions[bank] =
                 values[bank] >= banks[bank].threshold;

@@ -101,9 +101,9 @@ TEST(Factory, RejectsBadNumbers)
 
 TEST(Factory, RejectsOutOfRangeFields)
 {
-    // Each spec names the field it breaks. Before range checks
-    // these crashed (SIGSEGV), threw std::bad_alloc, or built a
-    // predictor whose index, history or tag silently overflowed.
+    // Each spec is rejected naming the field it breaks. Unchecked,
+    // they crash, exhaust memory, or build a predictor whose index,
+    // history or tag silently overflows.
     const std::pair<const char *, const char *> cases[] = {
         {"gshare:64:10", "index_bits"},
         {"agree:8:6:64", "bias_index_bits"},
