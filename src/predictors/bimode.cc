@@ -30,8 +30,10 @@ struct BiModePredictor::State
                                       directionIndexBits));
     }
 
+    // Forced inline: GCC otherwise calls it once per branch from the
+    // block kernel, spilling the lifted state.
     template <typename Sink>
-    bool
+    [[gnu::always_inline]] bool
     step(Addr pc, bool taken, Sink &)
     {
         const u64 choice_index = addressIndex(pc, choiceIndexBits);

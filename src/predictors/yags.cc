@@ -52,8 +52,10 @@ struct YagsPredictor::State
             : bias;
     }
 
+    // Forced inline: GCC otherwise calls it once per branch from the
+    // block kernel, spilling the lifted state.
     template <typename Sink>
-    bool
+    [[gnu::always_inline]] bool
     step(Addr pc, bool taken, Sink &)
     {
         const auto [bias, entry] = lookup(pc);
