@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "aliasing/three_c.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
+#include "workloads/presets.hh"
+#include "workloads/process_mix.hh"
 
 namespace bpred
 {
@@ -166,6 +171,103 @@ TEST(ThreeCs, SkewIndexFunctionsMeasurable)
     const double base = results[0].totalAliasing;
     EXPECT_NEAR(results[1].totalAliasing, base, base * 0.25);
     EXPECT_NEAR(results[2].totalAliasing, base, base * 0.25);
+}
+
+/**
+ * One measureThreeCsMulti call as exact digits: the shared
+ * dynamicBranches, faMissRatio and compulsory, then each function's
+ * totalAliasing.
+ */
+std::string
+threeCsDigits(const std::vector<ThreeCsResult> &results)
+{
+    char buffer[96];
+    std::snprintf(buffer, sizeof(buffer), "%llu %.17g %.17g",
+                  static_cast<unsigned long long>(
+                      results.front().dynamicBranches),
+                  results.front().faMissRatio, results.front().compulsory);
+    std::string digits = buffer;
+    for (const ThreeCsResult &result : results) {
+        EXPECT_EQ(result.dynamicBranches, results.front().dynamicBranches);
+        EXPECT_EQ(result.faMissRatio, results.front().faMissRatio);
+        EXPECT_EQ(result.compulsory, results.front().compulsory);
+        std::snprintf(buffer, sizeof(buffer), " %.17g",
+                      result.totalAliasing);
+        digits += buffer;
+    }
+    return digits;
+}
+
+TEST(ThreeCs, ThreeCsGolden)
+{
+    // The Figure 1/2 measurement over two preset traces, on the
+    // grid the perfbench aliasing-3c workload runs ({gshare, gselect}
+    // x h4/h12 x 2^10..2^16 entries), plus one FA table smaller than
+    // the direct-mapped one. Exact digits, so any change to either
+    // table's replacement or to the first-reference count shows.
+    struct Golden
+    {
+        const char *preset;
+        unsigned historyBits;
+        unsigned indexBits;
+        u64 faEntries;
+        const char *digits;
+    };
+    const Golden golden[] = {
+        {"real_gcc", 4, 10, 0,
+         "100000 0.13533000000000001 0.064240000000000005 0.12709999999999999 0.13933999999999999"},
+        {"real_gcc", 4, 12, 0,
+         "100000 0.069519999999999998 0.064240000000000005 0.089599999999999999 0.11942"},
+        {"real_gcc", 4, 14, 0,
+         "100000 0.064240000000000005 0.064240000000000005 0.071529999999999996 0.087859999999999994"},
+        {"real_gcc", 4, 16, 0,
+         "100000 0.064240000000000005 0.064240000000000005 0.066180000000000003 0.070050000000000001"},
+        {"real_gcc", 12, 10, 0,
+         "100000 0.24660000000000001 0.15883 0.28269 0.38303999999999999"},
+        {"real_gcc", 12, 12, 0,
+         "100000 0.20266999999999999 0.15883 0.22556999999999999 0.29636000000000001"},
+        {"real_gcc", 12, 14, 0,
+         "100000 0.15883 0.15883 0.18559999999999999 0.2382"},
+        {"real_gcc", 12, 16, 0,
+         "100000 0.15883 0.15883 0.16607 0.21067"},
+        {"real_gcc", 12, 14, 1000,
+         "100000 0.24671999999999999 0.15883 0.18559999999999999 0.2382"},
+        {"groff", 4, 10, 0,
+         "100000 0.058740000000000001 0.040919999999999998 0.073529999999999998 0.082019999999999996"},
+        {"groff", 4, 12, 0,
+         "100000 0.040919999999999998 0.040919999999999998 0.052970000000000003 0.059799999999999999"},
+        {"groff", 4, 14, 0,
+         "100000 0.040919999999999998 0.040919999999999998 0.043619999999999999 0.046359999999999998"},
+        {"groff", 4, 16, 0,
+         "100000 0.040919999999999998 0.040919999999999998 0.041700000000000001 0.041790000000000001"},
+        {"groff", 12, 10, 0,
+         "100000 0.16714999999999999 0.10624 0.1933 0.29111999999999999"},
+        {"groff", 12, 12, 0,
+         "100000 0.12145 0.10624 0.14785999999999999 0.1915"},
+        {"groff", 12, 14, 0,
+         "100000 0.10624 0.10624 0.12144000000000001 0.14419999999999999"},
+        {"groff", 12, 16, 0,
+         "100000 0.10624 0.10624 0.11008 0.12642"},
+        {"groff", 12, 14, 1000,
+         "100000 0.16813 0.10624 0.12144000000000001 0.14419999999999999"},
+    };
+    std::string preset;
+    Trace trace;
+    for (const Golden &row : golden) {
+        if (row.preset != preset) {
+            preset = row.preset;
+            trace = generateWorkload(ibsPreset(preset, 0.05));
+        }
+        const std::vector<IndexFunction> functions = {
+            {IndexKind::GShare, row.indexBits, row.historyBits},
+            {IndexKind::GSelect, row.indexBits, row.historyBits},
+        };
+        EXPECT_EQ(threeCsDigits(
+                      measureThreeCsMulti(trace, functions, row.faEntries)),
+                  row.digits)
+            << row.preset << " h" << row.historyBits << " i"
+            << row.indexBits << " fa " << row.faEntries;
+    }
 }
 
 TEST(IndexFunctionNames, Readable)
