@@ -6,14 +6,28 @@
  * compulsory + capacity aliasing (§3.2): a fully-associative table
  * has no conflicts by construction, and LRU is the reference
  * hardware-realizable replacement policy the paper uses.
+ *
+ * Layout: every entry is a node in one vector, and the nodes form a
+ * doubly-linked recency list through u32 node ids. Node 0 is the
+ * list's anchor (its next is the MRU entry, its prev the LRU one),
+ * so id 0 also marks an empty slot of the key index. The index is a
+ * power-of-two array of node ids, probed linearly from the HIGH bits
+ * of a multiplicative hash (see SiteTable for why the high bits) and
+ * kept at most half full; a removed key is taken out by backward-
+ * shift deletion, so no tombstones build up under steady eviction.
+ *
+ * Nodes and index grow on demand, never beyond the capacity:
+ * memory follows the distinct keys seen, not the capacity a spec
+ * allows. An eviction reuses the LRU node in place.
+ *
+ * The snapshot lists entries MRU to LRU, whatever node ids they
+ * occupy, so it depends only on the reference sequence.
  */
 
 #pragma once
 
-#include <cassert>
 #include <iosfwd>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "support/stats.hh"
 #include "support/types.hh"
@@ -29,7 +43,11 @@ namespace bpred
 class FullyAssociativeLruTable
 {
   public:
-    /** @param capacity Maximum number of resident entries (> 0). */
+    /**
+     * @param capacity Maximum number of resident entries.
+     * @throws FatalError when @p capacity is 0 or exceeds what a
+     *         u32 node id can address.
+     */
     explicit FullyAssociativeLruTable(u64 capacity);
 
     /**
@@ -41,9 +59,10 @@ class FullyAssociativeLruTable
 
     /**
      * Reference @p key: on a hit, move it to MRU position and return
-     * a pointer to its payload. On a miss, insert it (evicting the
-     * LRU entry if the table is full) with payload @p initial and
-     * return nullptr. The miss/hit is recorded in missStat().
+     * a pointer to its payload, valid until the next access(). On a
+     * miss, insert it (evicting the LRU entry if the table is full)
+     * with payload @p initial and return nullptr. The miss/hit is
+     * recorded in missStat().
      */
     u8 *access(u64 key, u8 initial = 0);
 
@@ -54,7 +73,7 @@ class FullyAssociativeLruTable
     u64 capacity() const { return capacity_; }
 
     /** Current resident entries. */
-    u64 size() const { return entries.size(); }
+    u64 size() const { return nodes.size() - 1; }
 
     /** Miss ratio statistics over all access() calls. */
     const RatioStat &missStat() const { return misses; }
@@ -72,7 +91,8 @@ class FullyAssociativeLruTable
     void saveState(std::ostream &os) const;
 
     /**
-     * Restore a saveState() stream into this table.
+     * Restore a saveState() stream into this table. The stream is
+     * checked in full before this table changes.
      *
      * @throws FatalError on a capacity mismatch, an entry count
      *         over capacity, a duplicate key, inconsistent miss
@@ -81,18 +101,40 @@ class FullyAssociativeLruTable
     void loadState(std::istream &is);
 
   private:
-    struct Entry
+    struct Node
     {
-        u64 key;
-        u8 payload;
+        u64 key = 0;
+        u32 prev = 0;
+        u32 next = 0;
+        u8 payload = 0;
     };
 
-    /** MRU at front, LRU at back. */
-    std::list<Entry> lruList;
-    std::unordered_map<u64, std::list<Entry>::iterator> entries;
+    /** Id of the node holding @p key, or 0. */
+    u32 find(u64 key) const;
+
+    /** Put node @p id in the first free slot of its probe run. */
+    void indexInsert(u32 id);
+
+    /** Take node @p id out of the index by backward shift. */
+    void indexErase(u32 id);
+
+    /** A new unlinked node, indexed; the index doubles as needed. */
+    u32 addNode(u64 key, u8 payload);
+
+    /** Link unlinked node @p id into the recency list after @p at. */
+    void linkAfter(u32 at, u32 id);
+
+    /** Take node @p id out of the recency list. */
+    void unlink(u32 id);
+
+    /** nodes[0] anchors the recency list; entries are 1..size(). */
+    std::vector<Node> nodes;
+    /** Node ids by key hash; 0 is an empty slot. */
+    std::vector<u32> index;
+    /** 64 - log2(index.size()), for hashSlot(). */
+    unsigned shift;
     RatioStat misses;
     u64 capacity_;
 };
 
 } // namespace bpred
-

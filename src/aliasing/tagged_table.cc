@@ -13,28 +13,6 @@ TaggedDirectMappedTable::TaggedDirectMappedTable(unsigned index_bits)
     assert(index_bits >= 1 && index_bits <= 28);
 }
 
-bool
-TaggedDirectMappedTable::access(u64 index, u64 key)
-{
-    return probe(index, key) != Outcome::Hit;
-}
-
-TaggedDirectMappedTable::Outcome
-TaggedDirectMappedTable::probe(u64 index, u64 key)
-{
-    assert(index < tags.size());
-    Outcome outcome = Outcome::Hit;
-    if (!valid[index]) {
-        outcome = Outcome::Cold;
-    } else if (tags[index] != key) {
-        outcome = Outcome::Conflict;
-    }
-    tags[index] = key;
-    valid[index] = true;
-    aliasStat.sample(outcome != Outcome::Hit);
-    return outcome;
-}
-
 void
 TaggedDirectMappedTable::reset()
 {

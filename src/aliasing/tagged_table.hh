@@ -10,6 +10,7 @@
 
 #pragma once
 
+#include <cassert>
 #include <vector>
 
 #include "support/stats.hh"
@@ -45,13 +46,31 @@ class TaggedDirectMappedTable
      * @return true when this reference aliased (miss): the entry was
      *         empty or held a different identity.
      */
-    bool access(u64 index, u64 key);
+    bool
+    access(u64 index, u64 key)
+    {
+        return probe(index, key) != Outcome::Hit;
+    }
 
     /**
      * As access(), but distinguishing a cold (first-touch) entry
      * from a genuine identity conflict.
      */
-    Outcome probe(u64 index, u64 key);
+    Outcome
+    probe(u64 index, u64 key)
+    {
+        assert(index < tags.size());
+        Outcome outcome = Outcome::Hit;
+        if (!valid[index]) {
+            outcome = Outcome::Cold;
+        } else if (tags[index] != key) {
+            outcome = Outcome::Conflict;
+        }
+        tags[index] = key;
+        valid[index] = true;
+        aliasStat.sample(outcome != Outcome::Hit);
+        return outcome;
+    }
 
     /** Number of entries. */
     u64 size() const { return u64(1) << indexBits; }

@@ -1,12 +1,11 @@
 #include "aliasing/three_c.hh"
 
-#include <unordered_set>
-
 #include "aliasing/fa_lru_table.hh"
 #include "aliasing/tagged_table.hh"
 #include "predictors/history.hh"
 #include "predictors/info_vector.hh"
 #include "support/logging.hh"
+#include "support/site_table.hh"
 
 namespace bpred
 {
@@ -43,10 +42,11 @@ measureThreeCsMulti(const Trace &trace,
     }
 
     FullyAssociativeLruTable fa_table(fa_entries);
-    std::unordered_set<u64> seen;
+    // Keyed by information vector, not PC: one key per first
+    // reference.
+    SiteTable<u8> seen;
     GlobalHistory history;
     u64 dynamic_branches = 0;
-    u64 compulsory = 0;
 
     for (const BranchRecord &record : trace) {
         if (!record.conditional) {
@@ -61,9 +61,9 @@ measureThreeCsMulti(const Trace &trace,
             const u64 index = functions[i](record.pc, history.raw());
             dm_tables[i].access(index, key);
         }
-        fa_table.access(key);
-        if (seen.insert(key).second) {
-            ++compulsory;
+        if (fa_table.access(key) == nullptr) {
+            // Only a miss can be a first reference.
+            seen[key] = 1;
         }
         history.shiftIn(record.taken);
     }
@@ -72,7 +72,7 @@ measureThreeCsMulti(const Trace &trace,
     results.reserve(functions.size());
     const double compulsory_ratio = dynamic_branches == 0
         ? 0.0
-        : static_cast<double>(compulsory) /
+        : static_cast<double>(seen.size()) /
             static_cast<double>(dynamic_branches);
     for (std::size_t i = 0; i < functions.size(); ++i) {
         ThreeCsResult result;

@@ -10,10 +10,10 @@
  * slot array, probes linearly from a multiplicative hash and doubles
  * before it is half full.
  *
- * The hash takes the HIGH bits of the product: branch PCs share
- * their low (alignment) bits, and the low bits of a product depend
- * only on the low bits of its factors, so masking them would pile
- * aligned PCs into a fraction of the slots.
+ * The hash (hashSlot) takes the HIGH bits of the product: branch
+ * PCs share their low (alignment) bits, and the low bits of a
+ * product depend only on the low bits of its factors, so masking
+ * them would pile aligned PCs into a fraction of the slots.
  *
  * The all-ones PC marks an empty slot, so that key lives in a side
  * slot of its own; every PC, including 0 and ~0, is a valid key.
@@ -29,6 +29,19 @@
 
 namespace bpred
 {
+
+/** The odd multiplier of hashSlot(): 2^64 over the golden ratio. */
+constexpr u64 hashMultiplier = 0x9e3779b97f4a7c15ull;
+
+/**
+ * Home slot of @p key in a power-of-two table of 2^(64 - @p shift)
+ * slots: the high bits of a multiplicative (Fibonacci) hash.
+ */
+constexpr std::size_t
+hashSlot(u64 key, unsigned shift)
+{
+    return std::size_t((key * hashMultiplier) >> shift);
+}
 
 /** Map from branch PC to a default-constructible @p Value. */
 template <typename Value>
@@ -93,7 +106,7 @@ class SiteTable
     std::size_t
     home(Addr pc) const
     {
-        return std::size_t((pc * 0x9e3779b97f4a7c15ull) >> shift);
+        return hashSlot(pc, shift);
     }
 
     /** Rehash into @p capacity slots (a power of two). */

@@ -5,12 +5,217 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "aliasing/fa_lru_table.hh"
+#include "support/logging.hh"
+#include "support/rng.hh"
+#include "support/serialize.hh"
+#include "support/site_table.hh"
 
 namespace bpred
 {
 namespace
 {
+
+/** The obvious LRU: a vector of (key, payload), MRU first. */
+class ReferenceLru
+{
+  public:
+    explicit ReferenceLru(u64 capacity) : capacity(capacity) {}
+
+    const u8 *
+    peek(u64 key) const
+    {
+        const auto it = find(key);
+        return it == entries.end() ? nullptr : &it->second;
+    }
+
+    u8 *
+    access(u64 key, u8 initial)
+    {
+        ++total;
+        const auto it = find(key);
+        if (it != entries.end()) {
+            std::rotate(entries.begin(), it, it + 1);
+            return &entries.front().second;
+        }
+        ++missCount;
+        if (entries.size() == capacity) {
+            entries.pop_back();
+        }
+        entries.insert(entries.begin(), {key, initial});
+        return nullptr;
+    }
+
+    void setPayload(u64 key, u8 payload) { find(key)->second = payload; }
+
+    u64 size() const { return entries.size(); }
+    u64 missCount = 0;
+    u64 total = 0;
+
+    /** FullyAssociativeLruTable::saveState()'s documented layout. */
+    std::string
+    snapshot() const
+    {
+        std::ostringstream os;
+        putU64(os, capacity);
+        putU64(os, entries.size());
+        for (const auto &[key, payload] : entries) {
+            putU64(os, key);
+            putU8(os, payload);
+        }
+        putU64(os, missCount);
+        putU64(os, total);
+        return os.str();
+    }
+
+  private:
+    std::vector<std::pair<u64, u8>>::const_iterator
+    find(u64 key) const
+    {
+        return std::find_if(entries.begin(), entries.end(),
+                            [key](const auto &e) { return e.first == key; });
+    }
+
+    std::vector<std::pair<u64, u8>>::iterator
+    find(u64 key)
+    {
+        return std::find_if(entries.begin(), entries.end(),
+                            [key](const auto &e) { return e.first == key; });
+    }
+
+    std::vector<std::pair<u64, u8>> entries;
+    u64 capacity;
+};
+
+std::string
+snapshotOf(const FullyAssociativeLruTable &table)
+{
+    std::ostringstream os;
+    table.saveState(os);
+    return os.str();
+}
+
+/** The inverse of @p odd mod 2^64 (Newton's iteration). */
+constexpr u64
+inverseOf(u64 odd)
+{
+    u64 inverse = odd; // correct to 3 bits; each step doubles that
+    for (int i = 0; i < 5; ++i) {
+        inverse *= 2 - odd * inverse;
+    }
+    return inverse;
+}
+
+static_assert(hashMultiplier * inverseOf(hashMultiplier) == 1);
+
+/**
+ * Keys that pile into the first and the last index slot at every
+ * index size (their hash products share all-zero or all-one high
+ * bits), so probe runs wrap around the end of the index and
+ * backward-shift deletion has to move keys across it. Plus 0 and
+ * the all-ones key.
+ */
+std::vector<u64>
+collidingKeys(u64 count)
+{
+    std::vector<u64> keys = {0, ~u64(0)};
+    for (u64 i = 1; keys.size() < count; ++i) {
+        keys.push_back(i * inverseOf(hashMultiplier));
+        keys.push_back((~u64(0) - i) * inverseOf(hashMultiplier));
+    }
+    keys.resize(count);
+    return keys;
+}
+
+/**
+ * Drive the table and the reference with the same stream over
+ * @p keys and compare every observable after each step; halfway,
+ * round-trip the table through a snapshot and keep the copy in
+ * step too.
+ */
+void
+checkAgainstReference(u64 capacity, const std::vector<u64> &keys,
+                      u64 seed)
+{
+    SCOPED_TRACE("capacity " + std::to_string(capacity) + ", " +
+                 std::to_string(keys.size()) + " keys, seed " +
+                 std::to_string(seed));
+    const int steps = 6000;
+    FullyAssociativeLruTable table(capacity);
+    FullyAssociativeLruTable copy(capacity);
+    ReferenceLru reference(capacity);
+    bool copied = false;
+    Rng rng(seed);
+    for (int step = 0; step < steps; ++step) {
+        const u64 key = keys[rng.uniformInt(keys.size())];
+        const u8 initial = u8(rng.uniformInt(4));
+        u8 *want = reference.access(key, initial);
+        std::vector<FullyAssociativeLruTable *> tables = {&table};
+        if (copied) {
+            tables.push_back(&copy);
+        }
+        for (FullyAssociativeLruTable *t : tables) {
+            u8 *got = t->access(key, initial);
+            ASSERT_EQ(got == nullptr, want == nullptr) << "step " << step;
+            if (got != nullptr) {
+                ASSERT_EQ(*got, *want) << "step " << step;
+                *got = u8(*got + 1);
+            }
+            ASSERT_NE(t->peek(key), nullptr);
+            ASSERT_EQ(t->size(), reference.size());
+            ASSERT_EQ(t->missStat().events(), reference.missCount);
+            ASSERT_EQ(t->missStat().total(), reference.total);
+        }
+        if (want != nullptr) {
+            *want = u8(*want + 1);
+        }
+        const u64 other = keys[rng.uniformInt(keys.size())];
+        const u8 *seen = reference.peek(other);
+        ASSERT_EQ(table.peek(other) == nullptr, seen == nullptr);
+        if (seen != nullptr) {
+            ASSERT_EQ(*table.peek(other), *seen);
+            table.setPayload(other, u8(*seen + 3));
+            if (copied) {
+                copy.setPayload(other, u8(*seen + 3));
+            }
+            reference.setPayload(other, u8(*seen + 3));
+        }
+        if (step % 250 == 0) {
+            ASSERT_EQ(snapshotOf(table), reference.snapshot())
+                << "step " << step;
+        }
+        if (step == steps / 2) {
+            std::istringstream is(snapshotOf(table));
+            copy.loadState(is);
+            copied = true;
+        }
+    }
+    EXPECT_EQ(snapshotOf(table), reference.snapshot());
+    EXPECT_EQ(snapshotOf(copy), snapshotOf(table));
+}
+
+TEST(FaLru, MatchesReferenceLru)
+{
+    u64 seed = 1;
+    for (const u64 capacity : {1u, 2u, 3u, 64u, 1000u}) {
+        for (const u64 universe : {capacity / 2 + 1, 4 * capacity + 3}) {
+            std::vector<u64> keys;
+            Rng rng(seed);
+            for (u64 i = 0; i < universe; ++i) {
+                keys.push_back(rng.next());
+            }
+            checkAgainstReference(capacity, keys, seed++);
+            checkAgainstReference(capacity, collidingKeys(universe),
+                                  seed++);
+        }
+    }
+}
 
 TEST(FaLru, ColdMiss)
 {
@@ -129,6 +334,58 @@ TEST(FaLru, LongSequenceConsistency)
     }
     EXPECT_GT(table.missStat().events(), 0u);
     EXPECT_LT(table.missStat().ratio(), 1.0);
+}
+
+TEST(FaLru, RejectsBadCapacity)
+{
+    EXPECT_THROW(FullyAssociativeLruTable(0), FatalError);
+    EXPECT_THROW(FullyAssociativeLruTable(u64(1) << 32), FatalError);
+}
+
+/** A snapshot stream with the given fields. */
+std::string
+handmadeSnapshot(u64 capacity, u64 count,
+                 const std::vector<std::pair<u64, u8>> &entries,
+                 u64 miss_events, u64 miss_total)
+{
+    std::ostringstream os;
+    putU64(os, capacity);
+    putU64(os, count);
+    for (const auto &[key, payload] : entries) {
+        putU64(os, key);
+        putU8(os, payload);
+    }
+    putU64(os, miss_events);
+    putU64(os, miss_total);
+    return os.str();
+}
+
+TEST(FaLru, RejectedLoadLeavesTableUntouched)
+{
+    FullyAssociativeLruTable table(3);
+    table.access(7, 1);
+    table.access(8, 2);
+    table.access(7);
+    const std::string before = snapshotOf(table);
+
+    const std::string good =
+        handmadeSnapshot(3, 2, {{1, 0}, {2, 1}}, 2, 5);
+    const std::vector<std::string> bad = {
+        handmadeSnapshot(4, 2, {{1, 0}, {2, 1}}, 2, 5), // capacity
+        handmadeSnapshot(3, 4, {{1, 0}, {2, 1}, {3, 0}, {4, 0}}, 4, 4),
+        handmadeSnapshot(3, 2, {{1, 0}, {1, 1}}, 2, 5), // duplicate
+        handmadeSnapshot(3, 2, {{1, 0}, {2, 1}}, 6, 5), // tallies
+        good.substr(0, good.size() - 1),                // truncated
+        good.substr(0, 16 + 9 + 4),                     // mid-entry
+    };
+    for (const std::string &blob : bad) {
+        std::istringstream is(blob);
+        EXPECT_THROW(table.loadState(is), FatalError);
+        EXPECT_EQ(snapshotOf(table), before);
+    }
+    std::istringstream is(good);
+    table.loadState(is);
+    EXPECT_EQ(snapshotOf(table), good);
 }
 
 } // namespace
