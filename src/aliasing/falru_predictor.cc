@@ -102,8 +102,13 @@ FaLruPredictor::saveState(std::ostream &os) const
 void
 FaLruPredictor::loadState(std::istream &is)
 {
-    table.loadState(is);
-    history.set(getU64(is));
+    // Read everything before committing any of it, so a rejected
+    // stream leaves this predictor as it was.
+    FullyAssociativeLruTable restored(table.capacity());
+    restored.loadState(is);
+    const u64 raw_history = getU64(is);
+    table = std::move(restored);
+    history.set(raw_history);
 }
 
 template class BlockPredictor<FaLruPredictor>;

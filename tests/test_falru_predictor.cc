@@ -6,7 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "aliasing/falru_predictor.hh"
+#include "support/logging.hh"
+#include "support/memmeter.hh"
+#include "support/rng.hh"
 
 namespace bpred
 {
@@ -100,6 +106,51 @@ TEST(FaLruPredictor, UnconditionalShiftsHistory)
     with_uncond.notifyUnconditional(0x200);
     EXPECT_TRUE(with_uncond.predict(pc));   // different key -> miss
     EXPECT_FALSE(without.predict(pc));      // same key -> learned
+}
+
+std::string
+snapshotOf(const Predictor &predictor)
+{
+    std::ostringstream os;
+    savePredictorState(predictor, os);
+    return os.str();
+}
+
+TEST(FaLruPredictor, RejectedRestoreLeavesStateUntouched)
+{
+    FaLruPredictor source(8, 4, 2);
+    FaLruPredictor target(8, 4, 2);
+    for (int i = 0; i < 40; ++i) {
+        source.predictAndUpdate(0x40 + 4 * (i % 11), i % 3 == 0);
+    }
+    target.predictAndUpdate(0x1000, false);
+    const std::string blob = snapshotOf(source);
+    const std::string before = snapshotOf(target);
+    // Cut off the history word, then also the miss tallies and the
+    // tail of the last (9-byte) entry.
+    for (const std::size_t cut : {8u, 8u + 16u + 4u}) {
+        std::istringstream is(blob.substr(0, blob.size() - cut));
+        EXPECT_THROW(loadPredictorState(target, is), FatalError);
+        EXPECT_EQ(snapshotOf(target), before) << "cut " << cut;
+    }
+    std::istringstream is(blob);
+    loadPredictorState(target, is);
+    EXPECT_EQ(snapshotOf(target), blob);
+}
+
+TEST(FaLruPredictor, HugeCapacityAllocatesOnDemand)
+{
+    const MemUsage start = processMemUsage();
+    if (!start.valid) {
+        GTEST_SKIP() << "no resident-set numbers on this platform";
+    }
+    FaLruPredictor predictor(u64(1) << 28, 4, 2);
+    Rng rng(3);
+    for (int i = 0; i < 5000; ++i) {
+        predictor.predictAndUpdate(0x1000 + 4 * rng.uniformInt(2048),
+                                   rng.chance(0.5));
+    }
+    EXPECT_LT(processMemUsage().rssBytes, start.rssBytes + (u64(64) << 20));
 }
 
 } // namespace
