@@ -31,15 +31,15 @@ class ReferenceLru
     const u8 *
     peek(u64 key) const
     {
-        const auto it = find(key);
-        return it == entries.end() ? nullptr : &it->second;
+        const std::size_t at = position(key);
+        return at == entries.size() ? nullptr : &entries[at].second;
     }
 
     u8 *
     access(u64 key, u8 initial)
     {
         ++total;
-        const auto it = find(key);
+        const auto it = entries.begin() + position(key);
         if (it != entries.end()) {
             std::rotate(entries.begin(), it, it + 1);
             return &entries.front().second;
@@ -52,7 +52,11 @@ class ReferenceLru
         return nullptr;
     }
 
-    void setPayload(u64 key, u8 payload) { find(key)->second = payload; }
+    void
+    setPayload(u64 key, u8 payload)
+    {
+        entries[position(key)].second = payload;
+    }
 
     u64 size() const { return entries.size(); }
     u64 missCount = 0;
@@ -75,18 +79,15 @@ class ReferenceLru
     }
 
   private:
-    std::vector<std::pair<u64, u8>>::const_iterator
-    find(u64 key) const
+    /** Index of @p key in entries, or entries.size(). */
+    std::size_t
+    position(u64 key) const
     {
-        return std::find_if(entries.begin(), entries.end(),
-                            [key](const auto &e) { return e.first == key; });
-    }
-
-    std::vector<std::pair<u64, u8>>::iterator
-    find(u64 key)
-    {
-        return std::find_if(entries.begin(), entries.end(),
-                            [key](const auto &e) { return e.first == key; });
+        std::size_t at = 0;
+        while (at < entries.size() && entries[at].first != key) {
+            ++at;
+        }
+        return at;
     }
 
     std::vector<std::pair<u64, u8>> entries;
@@ -135,9 +136,8 @@ collidingKeys(u64 count)
 
 /**
  * Drive the table and the reference with the same stream over
- * @p keys and compare every observable after each step; halfway,
- * round-trip the table through a snapshot and keep the copy in
- * step too.
+ * @p keys and compare every observable after each step. Halfway, a
+ * second table restored from the first one's snapshot joins in.
  */
 void
 checkAgainstReference(u64 capacity, const std::vector<u64> &keys,
@@ -147,57 +147,57 @@ checkAgainstReference(u64 capacity, const std::vector<u64> &keys,
                  std::to_string(keys.size()) + " keys, seed " +
                  std::to_string(seed));
     const int steps = 6000;
-    FullyAssociativeLruTable table(capacity);
-    FullyAssociativeLruTable copy(capacity);
+    std::vector<FullyAssociativeLruTable> tables;
+    tables.emplace_back(capacity);
     ReferenceLru reference(capacity);
-    bool copied = false;
     Rng rng(seed);
     for (int step = 0; step < steps; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
         const u64 key = keys[rng.uniformInt(keys.size())];
         const u8 initial = u8(rng.uniformInt(4));
-        u8 *want = reference.access(key, initial);
-        std::vector<FullyAssociativeLruTable *> tables = {&table};
-        if (copied) {
-            tables.push_back(&copy);
+        const u64 other = keys[rng.uniformInt(keys.size())];
+        const u8 payload = u8(rng.uniformInt(4));
+
+        // On a hit, bump the payload through the returned pointer;
+        // then overwrite another key's payload if it is resident.
+        u8 *hit = reference.access(key, initial);
+        const int hit_payload = hit == nullptr ? -1 : *hit;
+        if (hit != nullptr) {
+            *hit = u8(*hit + 1);
         }
-        for (FullyAssociativeLruTable *t : tables) {
-            u8 *got = t->access(key, initial);
-            ASSERT_EQ(got == nullptr, want == nullptr) << "step " << step;
+        const u8 *resident = reference.peek(other);
+        const int other_payload = resident == nullptr ? -1 : *resident;
+        if (resident != nullptr) {
+            reference.setPayload(other, payload);
+        }
+
+        for (FullyAssociativeLruTable &table : tables) {
+            u8 *got = table.access(key, initial);
+            ASSERT_EQ(got == nullptr ? -1 : *got, hit_payload);
             if (got != nullptr) {
-                ASSERT_EQ(*got, *want) << "step " << step;
                 *got = u8(*got + 1);
             }
-            ASSERT_NE(t->peek(key), nullptr);
-            ASSERT_EQ(t->size(), reference.size());
-            ASSERT_EQ(t->missStat().events(), reference.missCount);
-            ASSERT_EQ(t->missStat().total(), reference.total);
-        }
-        if (want != nullptr) {
-            *want = u8(*want + 1);
-        }
-        const u64 other = keys[rng.uniformInt(keys.size())];
-        const u8 *seen = reference.peek(other);
-        ASSERT_EQ(table.peek(other) == nullptr, seen == nullptr);
-        if (seen != nullptr) {
-            ASSERT_EQ(*table.peek(other), *seen);
-            table.setPayload(other, u8(*seen + 3));
-            if (copied) {
-                copy.setPayload(other, u8(*seen + 3));
+            const u8 *peeked = table.peek(other);
+            ASSERT_EQ(peeked == nullptr ? -1 : *peeked, other_payload);
+            if (peeked != nullptr) {
+                table.setPayload(other, payload);
             }
-            reference.setPayload(other, u8(*seen + 3));
-        }
-        if (step % 250 == 0) {
-            ASSERT_EQ(snapshotOf(table), reference.snapshot())
-                << "step " << step;
+            ASSERT_EQ(table.size(), reference.size());
+            ASSERT_EQ(table.missStat().events(), reference.missCount);
+            ASSERT_EQ(table.missStat().total(), reference.total);
+            if (step % 250 == 0) {
+                ASSERT_EQ(snapshotOf(table), reference.snapshot());
+            }
         }
         if (step == steps / 2) {
-            std::istringstream is(snapshotOf(table));
-            copy.loadState(is);
-            copied = true;
+            std::istringstream is(snapshotOf(tables.front()));
+            tables.emplace_back(capacity);
+            tables.back().loadState(is);
         }
     }
-    EXPECT_EQ(snapshotOf(table), reference.snapshot());
-    EXPECT_EQ(snapshotOf(copy), snapshotOf(table));
+    for (const FullyAssociativeLruTable &table : tables) {
+        EXPECT_EQ(snapshotOf(table), reference.snapshot());
+    }
 }
 
 TEST(FaLru, MatchesReferenceLru)
