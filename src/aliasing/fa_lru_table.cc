@@ -80,7 +80,8 @@ FullyAssociativeLruTable::addNode(u64 key, u8 payload)
 {
     const u32 id = u32(nodes.size());
     nodes.push_back({key, 0, 0, payload});
-    if (2 * nodes.size() > index.size()) {
+    // id is also the entry count: keep the index at most half full.
+    if (2 * std::size_t(id) > index.size()) {
         index.assign(2 * index.size(), 0);
         --shift;
         for (u32 other = 1; other < id; ++other) {

@@ -125,6 +125,14 @@ TEST(ThreeCs, EmptyFunctionListRejected)
     EXPECT_THROW(measureThreeCsMulti(trace, {}), FatalError);
 }
 
+TEST(ThreeCs, UnaddressableFaTableRejected)
+{
+    const Trace trace = roundRobinTrace(4, 2);
+    EXPECT_THROW(measureThreeCsMulti(trace, {{IndexKind::GShare, 8, 4}},
+                                     u64(1) << 32),
+                 FatalError);
+}
+
 TEST(ThreeCs, UnconditionalBranchesEnterHistoryOnly)
 {
     // Unconditional branches must not appear in the aliasing
