@@ -13,8 +13,9 @@
  * so id 0 also marks an empty slot of the key index. The index is a
  * power-of-two array of node ids, probed linearly from the HIGH bits
  * of a multiplicative hash (see SiteTable for why the high bits) and
- * kept at most half full; a removed key is taken out by backward-
- * shift deletion, so no tombstones build up under steady eviction.
+ * kept at most a quarter full; a removed key is taken out by
+ * backward-shift deletion, so no tombstones build up under steady
+ * eviction.
  *
  * Nodes and index grow on demand, never beyond the capacity:
  * memory follows the distinct keys seen, not the capacity a spec
