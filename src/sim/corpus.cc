@@ -12,21 +12,12 @@
 #include "support/site_table.hh"
 #include "support/tracing.hh"
 #include "trace/adapters.hh"
-#include "trace/mmap_source.hh"
 
 namespace bpred
 {
 
 namespace
 {
-
-bool
-endsWith(const std::string &text, const std::string &suffix)
-{
-    return text.size() >= suffix.size() &&
-        text.compare(text.size() - suffix.size(), suffix.size(),
-                     suffix) == 0;
-}
 
 /**
  * Classify @p cell by the documented ratio rules, counting it into
@@ -84,23 +75,6 @@ classify(const SiteTallies &tallies, const CorpusOptions &opt)
     return classes;
 }
 
-/** Open one corpus file, reporting which ingest path it took. */
-std::unique_ptr<TraceSource>
-openFile(const std::string &path, std::string &kind)
-{
-    if (endsWith(path, ".bpt")) {
-        if (auto mapped = MappedTrace::tryOpen(path)) {
-            kind = "mmap";
-            return std::make_unique<MmapTraceSource>(
-                std::move(mapped));
-        }
-        kind = "stream";
-        return std::make_unique<BinaryTraceSource>(path);
-    }
-    kind = "memory";
-    return std::make_unique<OwnedTraceSource>(loadRealTrace(path));
-}
-
 CorpusFileResult
 runFile(const std::string &path, const std::string &file_name,
         const CorpusOptions &opt)
@@ -109,9 +83,10 @@ runFile(const std::string &path, const std::string &file_name,
     CorpusFileResult result;
     result.file = file_name;
     try {
-        std::unique_ptr<TraceSource> source =
-            openFile(path, result.ingest);
-        result.traceName = source->name();
+        const OpenedTrace opened = openCorpusSource(path);
+        result.ingest = opened.ingest;
+        TraceSource &source = *opened.source;
+        result.traceName = source.name();
 
         std::vector<std::unique_ptr<Predictor>> predictors;
         for (const std::string &spec : opt.specs) {
@@ -134,7 +109,7 @@ runFile(const std::string &path, const std::string &file_name,
         TraceStatsAccumulator stats;
         AlignedVector<BranchRecord> buffer(gang.blockRecords());
         while (const std::size_t n =
-                   source->pull(buffer.data(), buffer.size())) {
+                   source.pull(buffer.data(), buffer.size())) {
             {
                 TRACE_SCOPE("corpus", "record-stats", result.records, n);
                 stats.add(buffer.data(), n);

@@ -84,41 +84,28 @@ inflateFile(const std::string &path)
 }
 
 /**
- * Decode a whole BPT1 image already in memory (an inflated .gz):
- * the same shared header validator and bulk decoder the mmap path
+ * Decode a whole BPT1 image already in memory (an inflated .gz)
+ * through the same header parser and payload cursor the mmap source
  * uses, just with a materialized destination.
  */
 Trace
-decodeBptImage(const std::string &image, const std::string &path)
+decodeBptImage(const std::string &image)
 {
     const u8 *data = reinterpret_cast<const u8 *>(image.data());
     std::size_t header_bytes = 0;
-    const bpt::Header header =
-        bpt::readHeader(data, image.size(), header_bytes);
+    const bpt::Header header = bpt::readHeader(
+        data, image.size(), {image.size(), true}, header_bytes);
+    bpt::PayloadCursor cursor(data + header_bytes,
+                              image.size() - header_bytes, header.count);
 
     Trace trace(header.name);
     // bp_lint: allow(reserve-untrusted): readHeader() above bounded
     // the count by the inflated image's real byte length.
     trace.reserve(static_cast<std::size_t>(header.count));
-
-    const u8 *payload = data + header_bytes;
-    std::size_t size = image.size() - header_bytes;
-    AlignedVector<BranchRecord> buffer(64 * 1024);
-    Addr last_pc = 0;
-    u64 remaining = header.count;
-    while (remaining > 0) {
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<u64>(buffer.size(), remaining));
-        std::size_t consumed = 0;
-        const std::size_t got = bpt::decodeRecords(
-            payload, size, buffer.data(), want, last_pc, consumed);
-        if (got < want) {
-            fatal("trace: truncated record in '" + path + "'");
-        }
-        trace.append(buffer.data(), got);
-        payload += consumed;
-        size -= consumed;
-        remaining -= got;
+    AlignedVector<BranchRecord> block(64 * 1024);
+    while (const std::size_t n =
+               cursor.pull(block.data(), block.size())) {
+        trace.append(block.data(), n);
     }
     return trace;
 }
@@ -278,8 +265,7 @@ loadRealTrace(const std::string &path)
     }
     const std::string name = traceNameFromPath(path);
     if (endsWith(path, ".bpt.gz")) {
-        Trace trace = decodeBptImage(inflateFile(path), path);
-        return trace;
+        return decodeBptImage(inflateFile(path));
     }
     if (endsWith(path, ".bpt")) {
         return loadBinaryTrace(path);
@@ -301,13 +287,14 @@ OwnedTraceSource::pull(BranchRecord *out, std::size_t max)
     return produced;
 }
 
-std::unique_ptr<TraceSource>
+OpenedTrace
 openCorpusSource(const std::string &path)
 {
     if (endsWith(path, ".bpt")) {
         return openTraceSource(path);
     }
-    return std::make_unique<OwnedTraceSource>(loadRealTrace(path));
+    return {std::make_unique<OwnedTraceSource>(loadRealTrace(path)),
+            "memory"};
 }
 
 } // namespace bpred

@@ -8,8 +8,8 @@
  * uniformly:
  *
  *   .bpt      BPT1 binary (mmap'd when possible)
- *   .bpt.gz   gzipped BPT1 (inflated, then the same shared header
- *             validator + bulk decoder as the mmap path)
+ *   .bpt.gz   gzipped BPT1 (inflated, then the same header parser
+ *             and payload cursor as the mmap path)
  *   .txt      text: either our "C|U <hexpc> T|N" format or the
  *             CBP-style "<pc> <dir>" format, auto-detected
  *   .txt.gz / .gz   gzipped text, same auto-detection
@@ -24,7 +24,7 @@
 #include <memory>
 #include <string>
 
-#include "trace/stream.hh"
+#include "trace/mmap_source.hh"
 
 namespace bpred
 {
@@ -83,11 +83,12 @@ class OwnedTraceSource : public TraceSource
 };
 
 /**
- * Open @p path for streaming: zero-copy mmap (with stream fallback)
- * for .bpt, materialized OwnedTraceSource for everything else.
+ * Open @p path for streaming: openTraceSource() for .bpt (zero-copy
+ * mmap, with stream fallback), a materialized OwnedTraceSource
+ * ("memory") for everything else.
  *
  * @throws FatalError on unsupported or malformed files.
  */
-std::unique_ptr<TraceSource> openCorpusSource(const std::string &path);
+OpenedTrace openCorpusSource(const std::string &path);
 
 } // namespace bpred

@@ -1,7 +1,8 @@
 /**
  * @file
- * Internal BPT1 wire-format primitives, shared by the batch
- * serializer (trace_io) and the incremental decoder (stream).
+ * Internal BPT1 wire-format primitives: the serializer trace_io
+ * writes with, and the one header parser and record decoder every
+ * reader (mmap, stream slab, inflated .gz) runs over bytes.
  *
  * Layout: 4-byte magic "BPT1", varint name length, name bytes,
  * varint record count, then per record a flag byte (bit 0 = taken,
@@ -29,17 +30,6 @@ inline constexpr char magic[4] = {'B', 'P', 'T', '1'};
 /** Emit a LEB128 varint. */
 void writeVarint(std::ostream &os, u64 value);
 
-/** Decode a LEB128 varint. @throws FatalError on truncation. */
-u64 readVarint(std::istream &is);
-
-/**
- * Decode a LEB128 varint from an in-memory buffer, advancing @p at.
- *
- * @throws FatalError when the buffer ends mid-varint or an 11th
- *         continuation byte would overflow 64 bits.
- */
-u64 readVarint(const u8 *data, std::size_t size, std::size_t &at);
-
 /** ZigZag encoding maps signed deltas to small unsigned values. */
 u64 zigZagEncode(i64 value);
 i64 zigZagDecode(u64 value);
@@ -53,10 +43,10 @@ struct Header
     u64 count = 0;
 
     /**
-     * True when the stream was seekable and @p count was verified
-     * to fit in the remaining byte length. When false (pipes,
-     * non-seekable sources) callers must bound allocations
-     * themselves and rely on per-record truncation checks.
+     * True when the source knew its byte length and @p count was
+     * verified to fit in the payload. When false (pipes, non-seekable
+     * streams) callers must bound allocations themselves and rely on
+     * per-record truncation checks.
      */
     bool lengthValidated = false;
 };
@@ -68,59 +58,42 @@ void writeHeader(std::ostream &os, const std::string &name, u64 count);
 inline constexpr u64 maxNameBytes = 4096;
 
 /**
- * How many payload bytes follow a header, when the source knows.
- * Streams that cannot seek leave @p known false; mmap and in-memory
- * readers always know exactly.
+ * Longest header readHeader() accepts: the magic, the longest name
+ * and its two 10-byte varints. A buffer this long always resolves a
+ * header, so a stream reader can parse it from one bounded read.
  */
-struct PayloadBounds
+inline constexpr std::size_t maxHeaderBytes =
+    sizeof(magic) + 10 + maxNameBytes + 10;
+
+/**
+ * The byte length of a whole trace, header included, when its source
+ * knows it: the buffer length of an mmap or an inflated .gz image,
+ * or the length a seekable stream measures by seeking to its end.
+ * Pipes leave @p known false.
+ */
+struct TraceLength
 {
     u64 bytes = 0;
     bool known = false;
 };
 
 /**
- * Reject a declared name length before it sizes an allocation.
- *
- * @throws FatalError when @p name_len exceeds maxNameBytes.
- */
-void checkNameLength(u64 name_len);
-
-/**
- * The one bounds rule every header path shares (istream, mmap and
- * gz/adapter readers all funnel through here, so the limits cannot
- * drift apart): every record costs at least two bytes (flag byte
- * plus one varint byte), so a known payload length bounds the
- * declared count by half its bytes. Sets @p header.lengthValidated
- * when @p payload is known.
- *
- * @throws FatalError when the declared count exceeds the bound.
- */
-void validateHeader(Header &header, const PayloadBounds &payload);
-
-/**
- * Read and validate magic, name and record count. On seekable
- * streams the declared count is checked against the remaining byte
- * length (every record occupies at least two bytes), so a corrupt
- * or hostile header cannot induce an absurd allocation downstream.
- *
- * @throws FatalError on bad magic, an unreasonable name, or a
- *         record count exceeding the stream size.
- */
-Header readHeader(std::istream &is);
-
-/**
- * Read and validate a header from an in-memory buffer (an mmap'd
- * file or an inflated .gz). The payload length is always known
- * here, so the returned header is always lengthValidated.
+ * Read and validate magic, name and record count from the first
+ * @p size bytes of a trace — the one header parser every reader
+ * shares, so the limits cannot drift apart. The name is capped at
+ * maxNameBytes. When @p length is known, the declared count is
+ * checked against the payload that follows the header: every record
+ * costs at least two bytes (flag byte plus one varint byte), so a
+ * corrupt or hostile header cannot induce an absurd allocation.
  *
  * @param header_bytes Out: bytes the header occupied; the payload
  *        starts at data + header_bytes.
  *
- * @throws FatalError on bad magic, an unreasonable name, a
- *         truncated header, or an overdeclared record count.
+ * @throws FatalError on bad magic, an unreasonable name, a header
+ *         that @p size cuts short, or an overdeclared record count.
  */
 Header readHeader(const u8 *data, std::size_t size,
-                  std::size_t &header_bytes);
+                  const TraceLength &length, std::size_t &header_bytes);
 
 /**
  * Append one record, delta-encoding the PC against @p last_pc
@@ -130,26 +103,16 @@ void writeRecord(std::ostream &os, const BranchRecord &record,
                  Addr &last_pc);
 
 /**
- * Decode one record, resolving the PC delta against @p last_pc
- * (updated in place).
- *
- * @throws FatalError on truncation or bad flags.
- */
-BranchRecord readRecord(std::istream &is, Addr &last_pc);
-
-/**
  * Upper bound on one encoded record: a flag byte plus a 10-byte
- * varint (readVarint rejects an 11th continuation byte as
- * overflow). Any buffer holding at least this many bytes always
- * resolves the memory-decoding readRecord() below.
+ * varint (an 11th continuation byte is rejected as overflow). Any
+ * buffer holding at least this many bytes always resolves
+ * readRecord() below.
  */
 inline constexpr std::size_t maxRecordBytes = 11;
 
 /**
- * Decode one record from an in-memory buffer — the bulk-refill
- * counterpart of the istream overload, so streaming decoders can
- * read the file in block-sized slabs instead of byte-at-a-time
- * stream gets.
+ * Decode one record with a bounds check on every byte: the checked
+ * tail of decodeRecords() and the reference it is tested against.
  *
  * @return Bytes consumed (record written to @p out, @p last_pc
  *         advanced), or 0 when the buffer ends mid-record with
@@ -161,14 +124,16 @@ std::size_t readRecord(const char *data, std::size_t size,
                        BranchRecord &out, Addr &last_pc);
 
 /**
- * Bulk-decode up to @p max records from @p data — the hot path for
- * mmap'd traces. Instead of a per-byte bounds check, the buffer is
- * carved into sub-batches of records whose worst-case encoded size
- * (maxRecordBytes each) provably fits in the remaining span, and
- * the sub-batch body decodes with unchecked loads; the ragged tail
+ * Bulk-decode up to @p max records from @p data — the one record
+ * decoder every BPT1 source runs, over an mmap, a stream slab or an
+ * inflated .gz image. Instead of a per-byte bounds check, the
+ * buffer is carved into sub-batches of records whose worst-case
+ * encoded size (maxRecordBytes each) provably fits in the remaining
+ * span, and the sub-batch body decodes with unchecked loads; the
+ * ragged tail
  * falls back to the checked readRecord() above. Wire semantics are
- * bit-identical to the incremental decoder: same flag validation,
- * same varint overflow rule, same u64 wrap-around delta arithmetic.
+ * bit-identical to readRecord(): same flag validation, same varint
+ * overflow rule, same u64 wrap-around delta arithmetic.
  *
  * @param consumed Out: bytes consumed from @p data.
  * @return Records decoded; less than @p max only when the buffer
@@ -180,6 +145,43 @@ std::size_t readRecord(const char *data, std::size_t size,
 std::size_t decodeRecords(const u8 *data, std::size_t size,
                           BranchRecord *out, std::size_t max,
                           Addr &last_pc, std::size_t &consumed);
+
+/**
+ * A decode position in one payload held whole in memory, whose
+ * record count a validated header declared: the cursor the mmap
+ * source and the .bpt.gz adapter both pull through.
+ */
+class PayloadCursor
+{
+  public:
+    /** Decode @p count records from the @p bytes at @p payload. */
+    PayloadCursor(const u8 *payload, std::size_t bytes, u64 count)
+        : payload_(payload), bytes_(bytes), remaining_(count)
+    {
+    }
+
+    /**
+     * Decode the next min(@p max, remaining()) records into @p out.
+     *
+     * @return Records decoded; 0 once the declared count is reached.
+     * @throws FatalError when the payload ends before the declared
+     *         count, on bad flags or on varint overflow.
+     */
+    std::size_t pull(BranchRecord *out, std::size_t max);
+
+    /** Records not yet pulled. */
+    u64 remaining() const { return remaining_; }
+
+    /** Payload bytes consumed so far. */
+    std::size_t offset() const { return at; }
+
+  private:
+    const u8 *payload_;
+    std::size_t bytes_;
+    std::size_t at = 0;
+    u64 remaining_;
+    Addr lastPc = 0;
+};
 
 } // namespace bpred::bpt
 

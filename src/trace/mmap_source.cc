@@ -4,7 +4,6 @@
 
 #include "support/logging.hh"
 #include "support/tracing.hh"
-#include "trace/bpt_format.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define BPRED_HAVE_MMAP 1
@@ -95,7 +94,7 @@ MappedTrace::tryOpen(const std::string &path)
 
     std::size_t header_bytes = 0;
     const bpt::Header header =
-        bpt::readHeader(data, bytes, header_bytes);
+        bpt::readHeader(data, bytes, {bytes, true}, header_bytes);
     mapped->payloadOffset = header_bytes;
     mapped->name_ = header.name;
     mapped->count_ = header.count;
@@ -114,14 +113,25 @@ MappedTrace::tryOpen(const std::string &)
 
 #endif
 
-MmapTraceSource::MmapTraceSource(
-    std::shared_ptr<const MappedTrace> mapped)
-    : mapped_(std::move(mapped))
+namespace
 {
-    if (!mapped_) {
+
+/** A cursor over @p mapped's payload; fatal on a null mapping. */
+bpt::PayloadCursor
+payloadOf(const std::shared_ptr<const MappedTrace> &mapped)
+{
+    if (!mapped) {
         fatal("trace: MmapTraceSource given a null mapping");
     }
-    remaining_ = mapped_->count();
+    return {mapped->payload(), mapped->payloadBytes(), mapped->count()};
+}
+
+} // namespace
+
+MmapTraceSource::MmapTraceSource(
+    std::shared_ptr<const MappedTrace> mapped)
+    : mapped_(std::move(mapped)), cursor(payloadOf(mapped_))
+{
 }
 
 MmapTraceSource::MmapTraceSource(const std::string &path)
@@ -146,49 +156,22 @@ std::size_t
 MmapTraceSource::pull(BranchRecord *out, std::size_t max)
 {
     const std::size_t produced = static_cast<std::size_t>(
-        std::min<u64>(max, remaining_));
+        std::min<u64>(max, cursor.remaining()));
     if (produced == 0) {
         return 0;
     }
-    TRACE_SCOPE("ingest", "decode-batch", produced, at);
-    const u8 *data = mapped_->payload() + at;
-    const std::size_t size = mapped_->payloadBytes() - at;
-    std::size_t done = 0;
-    std::size_t consumed = 0;
-    if (fastDecode) {
-        done = bpt::decodeRecords(data, size, out, produced, lastPc,
-                                  consumed);
-    } else {
-        // Reference path: the same per-record decoder the stream
-        // slab uses, kept for byte-identity comparisons.
-        while (done < produced) {
-            const std::size_t step = bpt::readRecord(
-                reinterpret_cast<const char *>(data) + consumed,
-                size - consumed, out[done], lastPc);
-            if (step == 0) {
-                break;
-            }
-            consumed += step;
-            ++done;
-        }
-    }
-    if (done < produced) {
-        // The validated header promised more records than the
-        // payload actually encodes.
-        fatal("trace: truncated record");
-    }
-    at += consumed;
-    remaining_ -= produced;
-    return produced;
+    TRACE_SCOPE("ingest", "decode-batch", produced, cursor.offset());
+    return cursor.pull(out, produced);
 }
 
-std::unique_ptr<TraceSource>
+OpenedTrace
 openTraceSource(const std::string &path)
 {
     if (auto mapped = MappedTrace::tryOpen(path)) {
-        return std::make_unique<MmapTraceSource>(std::move(mapped));
+        return {std::make_unique<MmapTraceSource>(std::move(mapped)),
+                "mmap"};
     }
-    return std::make_unique<BinaryTraceSource>(path);
+    return {std::make_unique<BinaryTraceSource>(path), "stream"};
 }
 
 } // namespace bpred

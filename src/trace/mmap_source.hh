@@ -8,8 +8,7 @@
  * or gang replays one file through shared_ptr views instead of N
  * private Trace copies. MmapTraceSource decodes straight out of the
  * mapping into the caller's block scratch — no intermediate slab,
- * no stream reads — using the sub-batch bulk decoder
- * (bpt::decodeRecords) by default.
+ * no stream reads — with the one BPT1 decoder (bpt::decodeRecords).
  *
  * mmap is POSIX-only; openTraceSource() falls back to the portable
  * BinaryTraceSource when mapping is unavailable, so callers never
@@ -21,6 +20,7 @@
 #include <memory>
 #include <string>
 
+#include "trace/bpt_format.hh"
 #include "trace/stream.hh"
 
 namespace bpred
@@ -114,17 +114,10 @@ class MmapTraceSource : public TraceSource
     std::size_t pull(BranchRecord *out, std::size_t max) override;
 
     /** Always validated: the mapping checked count at open time. */
-    u64 sizeHint() const override { return remaining_; }
+    u64 sizeHint() const override { return cursor.remaining(); }
 
     /** Records not yet pulled. */
-    u64 remaining() const { return remaining_; }
-
-    /**
-     * Pin the per-record reference decoder instead of the sub-batch
-     * bulk decoder. Benches and byte-identity tests use this to
-     * compare the two paths; real consumers keep the default.
-     */
-    void setFastDecode(bool fast) { fastDecode = fast; }
+    u64 remaining() const { return cursor.remaining(); }
 
     /** The shared mapping this source reads. */
     const std::shared_ptr<const MappedTrace> &mapping() const
@@ -134,17 +127,24 @@ class MmapTraceSource : public TraceSource
 
   private:
     std::shared_ptr<const MappedTrace> mapped_;
-    std::size_t at = 0;
-    u64 remaining_ = 0;
-    Addr lastPc = 0;
-    bool fastDecode = true;
+    bpt::PayloadCursor cursor;
+};
+
+/** A source opened for ingestion, and the path it took. */
+struct OpenedTrace
+{
+    std::unique_ptr<TraceSource> source;
+
+    /** "mmap", "stream" or "memory", as the corpus report names it. */
+    const char *ingest = "";
 };
 
 /**
  * Open @p path for streaming ingestion, preferring the zero-copy
- * mmap path and falling back to BinaryTraceSource when mapping is
- * unavailable. Malformed content is fatal either way.
+ * mmap path ("mmap") and falling back to BinaryTraceSource
+ * ("stream") when mapping is unavailable. Malformed content is fatal
+ * either way.
  */
-std::unique_ptr<TraceSource> openTraceSource(const std::string &path);
+OpenedTrace openTraceSource(const std::string &path);
 
 } // namespace bpred

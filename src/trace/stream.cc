@@ -26,12 +26,7 @@ MemoryTraceSource::pull(BranchRecord *out, std::size_t max)
 BinaryTraceSource::BinaryTraceSource(std::istream &is)
     : stream(&is), scratch(defaultScratchBytes)
 {
-    BP_DCHECK(isCacheAligned(scratch.data()),
-              "trace: decode scratch not cache aligned");
-    const bpt::Header header = bpt::readHeader(*stream);
-    name_ = header.name;
-    remaining_ = header.count;
-    lengthValidated = header.lengthValidated;
+    readHeader();
 }
 
 BinaryTraceSource::BinaryTraceSource(const std::string &path)
@@ -41,9 +36,36 @@ BinaryTraceSource::BinaryTraceSource(const std::string &path)
     if (!*owned) {
         fatal("trace: cannot open '" + path + "' for reading");
     }
+    readHeader();
+}
+
+void
+BinaryTraceSource::readHeader()
+{
+    static_assert(defaultScratchBytes >= bpt::maxHeaderBytes,
+                  "the slab must hold the longest header");
     BP_DCHECK(isCacheAligned(scratch.data()),
               "trace: decode scratch not cache aligned");
-    const bpt::Header header = bpt::readHeader(*stream);
+    // A seekable stream knows its length, so the header's count is
+    // validated against it; a pipe stays unvalidated and relies on
+    // the per-record truncation checks.
+    bpt::TraceLength length;
+    const std::istream::pos_type start = stream->tellg();
+    if (start != std::istream::pos_type(-1)) {
+        stream->seekg(0, std::ios::end);
+        const std::istream::pos_type end = stream->tellg();
+        stream->seekg(start);
+        if (*stream && end != std::istream::pos_type(-1) &&
+            end >= start) {
+            length = {static_cast<u64>(end - start), true};
+        }
+    }
+    refill(bpt::maxHeaderBytes);
+    std::size_t header_bytes = 0;
+    const bpt::Header header = bpt::readHeader(
+        reinterpret_cast<const u8 *>(scratch.data()), scratchEnd, length,
+        header_bytes);
+    scratchAt = header_bytes;
     name_ = header.name;
     remaining_ = header.count;
     lengthValidated = header.lengthValidated;
@@ -58,17 +80,7 @@ BinaryTraceSource::sizeHint() const
 void
 BinaryTraceSource::setScratchBytes(std::size_t bytes)
 {
-    const std::size_t leftover = scratchEnd - scratchAt;
-    const std::size_t capacity =
-        std::max({bytes, leftover, bpt::maxRecordBytes});
-    AlignedVector<char> next(capacity);
-    std::copy(scratch.data() + scratchAt,
-              scratch.data() + scratchEnd, next.data());
-    scratch = std::move(next);
-    scratchAt = 0;
-    scratchEnd = leftover;
-    BP_DCHECK(isCacheAligned(scratch.data()),
-              "trace: decode scratch not cache aligned");
+    fillBytes = std::clamp(bytes, bpt::maxRecordBytes, scratch.size());
 }
 
 std::size_t
@@ -76,47 +88,44 @@ BinaryTraceSource::pull(BranchRecord *out, std::size_t max)
 {
     const std::size_t produced = static_cast<std::size_t>(
         std::min<u64>(max, remaining_));
-    // Decode from the long-lived scratch slab: the stream is read
-    // in bulk slab-sized gulps, never byte-at-a-time, and no
-    // per-pull allocation happens after construction.
+    // Decode from the long-lived slab: the stream is read in bulk
+    // slab-sized gulps, and no per-pull allocation happens after
+    // construction. A short decode means the slab ends mid-record.
     std::size_t done = 0;
-    while (done < produced) {
-        const std::size_t consumed = bpt::readRecord(
-            scratch.data() + scratchAt, scratchEnd - scratchAt,
-            out[done], lastPc);
-        if (consumed == 0) {
-            refill();
-            continue;
-        }
+    for (;;) {
+        std::size_t consumed = 0;
+        done += bpt::decodeRecords(
+            reinterpret_cast<const u8 *>(scratch.data()) + scratchAt,
+            scratchEnd - scratchAt, out + done, produced - done, lastPc,
+            consumed);
         scratchAt += consumed;
-        ++done;
+        if (done == produced) {
+            break;
+        }
+        // Fewer than maxRecordBytes are left, and the slab holds at
+        // least that many, so an empty read is real truncation.
+        if (refill(fillBytes) == 0) {
+            fatal("trace: truncated record");
+        }
     }
     remaining_ -= produced;
     return produced;
 }
 
-void
-BinaryTraceSource::refill()
+std::size_t
+BinaryTraceSource::refill(std::size_t fill)
 {
-    // Slide the partial record to the front and top up with one
-    // bulk read. The scratch always holds at least maxRecordBytes,
-    // so a record that still does not resolve after a successful
-    // refill can only mean real truncation — detected below when
-    // the stream has nothing left to give.
     const std::size_t leftover = scratchEnd - scratchAt;
     std::copy(scratch.data() + scratchAt,
               scratch.data() + scratchEnd, scratch.data());
     scratchAt = 0;
     scratchEnd = leftover;
     stream->read(scratch.data() + scratchEnd,
-                 static_cast<std::streamsize>(scratch.size() -
-                                              scratchEnd));
+                 static_cast<std::streamsize>(fill - scratchEnd));
     const std::size_t got =
         static_cast<std::size_t>(stream->gcount());
-    if (got == 0) {
-        fatal("trace: truncated record");
-    }
     scratchEnd += got;
+    return got;
 }
 
 Trace
@@ -129,7 +138,7 @@ drainSource(TraceSource &source, std::size_t chunk_records)
     if (const u64 hint = source.sizeHint()) {
         // bp_lint: allow(reserve-untrusted): sizeHint() contractually
         // reports only validated counts (BinaryTraceSource returns 0
-        // unless readHeader() bounded the declared count by the
+        // unless bpt::readHeader() bounded the declared count by the
         // stream length), so this cannot amplify a corrupt header.
         trace.reserve(static_cast<std::size_t>(hint));
     }

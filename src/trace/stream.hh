@@ -73,11 +73,13 @@ class MemoryTraceSource : public TraceSource
 };
 
 /**
- * Incremental BPT1 decoder: reads the header eagerly (validating
- * the declared record count against the stream length, see
- * trace/bpt_format.hh) and decodes records on demand, so a
- * multi-gigabyte trace file is simulated without ever being
- * materialized.
+ * Incremental BPT1 decoder over an istream, for pipes and for files
+ * that cannot be mapped. The stream is read in slab-sized gulps into
+ * one aligned scratch slab, and the slab goes through the same
+ * header parser and bulk decoder (bpt::decodeRecords) as an mmap, so
+ * a multi-gigabyte trace is simulated without ever being
+ * materialized. A seekable stream measures its length first, which
+ * validates the declared record count (trace/bpt_format.hh).
  */
 class BinaryTraceSource : public TraceSource
 {
@@ -102,9 +104,9 @@ class BinaryTraceSource : public TraceSource
     std::size_t pull(BranchRecord *out, std::size_t max) override;
 
     /**
-     * The remaining record count, but only once readHeader() has
-     * verified the declared count against the stream length — a
-     * bare wire count must not size downstream allocations.
+     * The remaining record count, but only once the header's count
+     * was verified against the stream length — a bare wire count
+     * must not size downstream allocations.
      */
     u64 sizeHint() const override;
 
@@ -112,10 +114,11 @@ class BinaryTraceSource : public TraceSource
     u64 remaining() const { return remaining_; }
 
     /**
-     * Resize the decode scratch buffer (clamped to at least one
-     * maximal record plus any bytes already buffered). Exposed so
-     * tests can force refills to land mid-record; real consumers
-     * keep the default slab.
+     * Fill at most @p bytes of the slab per refill (clamped to one
+     * maximal record and to the slab size). Exposed so tests can
+     * force refills to land mid-record; real consumers keep the
+     * whole slab. The constructor reads no more than the longest
+     * header, so the limit governs every payload read.
      */
     void setScratchBytes(std::size_t bytes);
 
@@ -123,8 +126,16 @@ class BinaryTraceSource : public TraceSource
     /** Raw bytes buffered per bulk read (~64 KiB slab). */
     static constexpr std::size_t defaultScratchBytes = 64 * 1024;
 
-    /** Compact the partial record and top the scratch up. */
-    void refill();
+    /** Measure the stream, then parse the header from the slab. */
+    void readHeader();
+
+    /**
+     * Slide the unread bytes to the front of the slab and read until
+     * it holds @p fill bytes or the stream ends.
+     *
+     * @return Bytes read; 0 when the stream has nothing left.
+     */
+    std::size_t refill(std::size_t fill);
 
     std::unique_ptr<std::ifstream> owned;
     std::istream *stream;
@@ -137,6 +148,7 @@ class BinaryTraceSource : public TraceSource
     AlignedVector<char> scratch;
     std::size_t scratchAt = 0;
     std::size_t scratchEnd = 0;
+    std::size_t fillBytes = defaultScratchBytes;
 };
 
 /**

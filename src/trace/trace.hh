@@ -68,7 +68,7 @@ class Trace
      * declared count by the stream length).
      */
     // bp_lint: allow(reserve-untrusted): pass-through API; decode
-    // paths validate before calling (see readBinaryTrace()).
+    // paths validate before calling (see drainSource()).
     void reserve(std::size_t n) { records_.reserve(n); }
 
     /**

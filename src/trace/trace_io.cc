@@ -1,6 +1,5 @@
 #include "trace/trace_io.hh"
 
-#include <algorithm>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -8,6 +7,7 @@
 
 #include "support/logging.hh"
 #include "trace/bpt_format.hh"
+#include "trace/mmap_source.hh"
 
 namespace bpred
 {
@@ -28,24 +28,8 @@ writeBinaryTrace(std::ostream &os, const Trace &trace)
 Trace
 readBinaryTrace(std::istream &is)
 {
-    const bpt::Header header = bpt::readHeader(is);
-    Trace trace(header.name);
-    // readHeader() verified the count against the stream length on
-    // seekable input, so reserving it is safe; on non-seekable
-    // streams cap the up-front reservation and let the per-record
-    // reads hit the truncation check naturally.
-    const u64 reservation = header.lengthValidated
-        ? header.count
-        : std::min<u64>(header.count, u64(1) << 20);
-    // bp_lint: allow(reserve-untrusted): capped above by the
-    // validated stream length or the 1M fallback.
-    trace.reserve(static_cast<std::size_t>(reservation));
-
-    Addr last_pc = 0;
-    for (u64 i = 0; i < header.count; ++i) {
-        trace.append(bpt::readRecord(is, last_pc));
-    }
-    return trace;
+    BinaryTraceSource source(is);
+    return drainSource(source);
 }
 
 void
@@ -64,11 +48,7 @@ saveBinaryTrace(const std::string &path, const Trace &trace)
 Trace
 loadBinaryTrace(const std::string &path)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        fatal("trace: cannot open '" + path + "' for reading");
-    }
-    return readBinaryTrace(is);
+    return drainSource(*openTraceSource(path).source);
 }
 
 void

@@ -26,7 +26,7 @@ namespace bpred
 void writeBinaryTrace(std::ostream &os, const Trace &trace);
 
 /**
- * Deserialize a binary "BPT1" trace.
+ * Deserialize a binary "BPT1" trace: a drain of BinaryTraceSource.
  *
  * @throws FatalError on malformed input.
  */
@@ -35,7 +35,12 @@ Trace readBinaryTrace(std::istream &is);
 /** Write @p trace as binary to @p path. @throws FatalError on I/O error. */
 void saveBinaryTrace(const std::string &path, const Trace &trace);
 
-/** Read a binary trace from @p path. @throws FatalError on error. */
+/**
+ * Read a binary trace from @p path: a drain of openTraceSource(), so
+ * a file that maps decodes straight from the mapping.
+ *
+ * @throws FatalError on error.
+ */
 Trace loadBinaryTrace(const std::string &path);
 
 /** Serialize @p trace in the text format. */

@@ -1,7 +1,7 @@
 /**
  * @file
  * Zero-copy ingest pipeline tests: the bulk BPT1 decoder against
- * the reference per-byte decoder, mmap sources against stream
+ * the checked per-record decoder, mmap sources against stream
  * sources (per-scheme byte identity), corruption rejection, shared
  * mappings across threads, the real-trace adapters, and corpus
  * runner determinism across thread counts.
@@ -134,14 +134,22 @@ makeSampleTrace(std::size_t records, u64 seed)
     return trace;
 }
 
+/** Parse the header of BPT1 @p bytes; @p header_bytes out. */
+bpt::Header
+parseHeader(const std::string &bytes, std::size_t &header_bytes)
+{
+    return bpt::readHeader(reinterpret_cast<const u8 *>(bytes.data()),
+                           bytes.size(), {bytes.size(), true},
+                           header_bytes);
+}
+
 /** Decode the payload of @p bytes with the bulk decoder. */
 std::vector<BranchRecord>
 bulkDecode(const std::string &bytes, std::size_t chunk)
 {
     const u8 *data = reinterpret_cast<const u8 *>(bytes.data());
     std::size_t header_bytes = 0;
-    const bpt::Header header =
-        bpt::readHeader(data, bytes.size(), header_bytes);
+    const bpt::Header header = parseHeader(bytes, header_bytes);
 
     std::vector<BranchRecord> out(
         static_cast<std::size_t>(header.count));
@@ -165,20 +173,39 @@ bulkDecode(const std::string &bytes, std::size_t chunk)
     return out;
 }
 
+/**
+ * Decode the payload of @p bytes one checked readRecord() at a
+ * time: the per-record reference the bulk decoder must match.
+ */
+std::vector<BranchRecord>
+referenceDecode(const std::string &bytes)
+{
+    std::size_t at = 0;
+    const bpt::Header header = parseHeader(bytes, at);
+    std::vector<BranchRecord> out;
+    Addr last_pc = 0;
+    for (u64 i = 0; i < header.count; ++i) {
+        BranchRecord record;
+        const std::size_t step = bpt::readRecord(
+            bytes.data() + at, bytes.size() - at, record, last_pc);
+        EXPECT_NE(step, 0u) << "record " << i;
+        if (step == 0) {
+            break;
+        }
+        at += step;
+        out.push_back(record);
+    }
+    return out;
+}
+
 TEST(BulkDecode, MatchesReferenceOnEdgeDeltas)
 {
     const Trace trace = makeEdgeTrace();
     const std::string bytes = bptBytes(trace);
 
-    // The istream reference decoder is ground truth.
-    std::istringstream is(bytes);
-    const bpt::Header header = bpt::readHeader(is);
-    ASSERT_EQ(header.count, trace.size());
-    Addr ref_pc = 0;
-    std::vector<BranchRecord> reference;
-    for (u64 i = 0; i < header.count; ++i) {
-        reference.push_back(bpt::readRecord(is, ref_pc));
-    }
+    // The checked per-record decoder is ground truth.
+    const std::vector<BranchRecord> reference = referenceDecode(bytes);
+    ASSERT_EQ(reference.size(), trace.size());
 
     // Chunk sizes straddle the quad width and the sub-batch/tail
     // boundary logic.
@@ -198,15 +225,15 @@ TEST(BulkDecode, MatchesReferenceOnEdgeDeltas)
 
 TEST(BulkDecode, MatchesReferenceOnRandomTrace)
 {
-    const std::string bytes = bptBytes(makeSampleTrace(5000, 7));
-    std::istringstream is(bytes);
-    const bpt::Header header = bpt::readHeader(is);
-    Addr ref_pc = 0;
+    const Trace trace = makeSampleTrace(5000, 7);
+    const std::string bytes = bptBytes(trace);
+    const std::vector<BranchRecord> reference = referenceDecode(bytes);
     const std::vector<BranchRecord> bulk = bulkDecode(bytes, 256);
-    ASSERT_EQ(bulk.size(), header.count);
-    for (u64 i = 0; i < header.count; ++i) {
-        ASSERT_EQ(bulk[i], bpt::readRecord(is, ref_pc))
-            << "record " << i;
+    ASSERT_EQ(reference.size(), trace.size());
+    ASSERT_EQ(bulk.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+        ASSERT_EQ(bulk[i], reference[i]) << "record " << i;
+        ASSERT_EQ(reference[i], trace[i]) << "record " << i;
     }
 }
 
@@ -248,24 +275,17 @@ TEST(MmapSource, ByteIdenticalToStreamForEveryScheme)
         const Fingerprint via_stream =
             fingerprint(scheme.example, stream);
 
-        MmapTraceSource fast(path);
-        const Fingerprint via_fast =
-            fingerprint(scheme.example, fast);
-
-        MmapTraceSource slow(path);
-        slow.setFastDecode(false);
-        const Fingerprint via_slow =
-            fingerprint(scheme.example, slow);
+        MmapTraceSource mapped(path);
+        const Fingerprint via_mmap =
+            fingerprint(scheme.example, mapped);
 
         EXPECT_GT(via_stream.conditionals, 0u) << scheme.example;
-        for (const Fingerprint *other : {&via_fast, &via_slow}) {
-            EXPECT_EQ(via_stream.conditionals, other->conditionals)
-                << scheme.example;
-            EXPECT_EQ(via_stream.mispredicts, other->mispredicts)
-                << scheme.example;
-            EXPECT_EQ(via_stream.snapshot, other->snapshot)
-                << scheme.example;
-        }
+        EXPECT_EQ(via_stream.conditionals, via_mmap.conditionals)
+            << scheme.example;
+        EXPECT_EQ(via_stream.mispredicts, via_mmap.mispredicts)
+            << scheme.example;
+        EXPECT_EQ(via_stream.snapshot, via_mmap.snapshot)
+            << scheme.example;
     }
 }
 

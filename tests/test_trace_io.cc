@@ -97,8 +97,12 @@ TEST(BinaryTraceIO, ZigZagExtremesDecode)
     std::stringstream buffer;
     Addr write_pc = 0;
     bpt::writeRecord(buffer, {Addr(1) << 63, true, true}, write_pc);
+    const std::string bytes = buffer.str();
     Addr read_pc = 0;
-    const BranchRecord decoded = bpt::readRecord(buffer, read_pc);
+    BranchRecord decoded;
+    EXPECT_EQ(bpt::readRecord(bytes.data(), bytes.size(), decoded,
+                              read_pc),
+              bytes.size());
     EXPECT_EQ(decoded.pc, Addr(1) << 63);
     EXPECT_EQ(read_pc, Addr(1) << 63);
 }
