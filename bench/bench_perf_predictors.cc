@@ -4,17 +4,24 @@
  * quality gauge: the simulation loops run millions of events per
  * configuration, so per-event cost matters.
  *
- * Three sections:
+ * Sections:
  *  - "throughput": per scheme, the four replay kernels side by
  *    side — per-branch predictAndUpdate(), the per-block
  *    replayBlock() batch kernel, the phase-split SIMD path
  *    (replayBlock with an AVX2 ReplayScratch), and a 4-member
  *    GangSession — in millions of records per second, each the
- *    median of several interleaved runs.
+ *    median of several interleaved runs, over a uniform-random
+ *    synthetic trace.
  *  - "simd_identity": for every factory scheme, the phase-split
  *    path is replayed against the fused scalar reference and must
  *    match tallies and saveState() bytes exactly; any divergence
  *    exits nonzero.
+ *  - "throughput_workload" and "simd_identity_workload": the same
+ *    two over a real-shaped generateWorkload() trace (an IBS
+ *    preset: biased branches and tight loops). The random trace
+ *    has no loops, so it never revisits a counter on back-to-back
+ *    conditionals the way corpus records do; a kernel gain counts
+ *    end to end only if it shows here too.
  *  - "gang_sweep": a Figure-5-shaped size sweep (many cells, one
  *    shared trace) run through SweepRunner twice at the same
  *    thread count: once as the pre-gang per-cell engine
@@ -44,11 +51,14 @@
 #include "support/rng.hh"
 #include "support/simd.hh"
 #include "trace/trace.hh"
+#include "workloads/presets.hh"
+#include "workloads/process_mix.hh"
 
 namespace
 {
 
 using namespace bpred;
+using namespace bpred::bench;
 using Clock = std::chrono::steady_clock;
 
 /**
@@ -87,6 +97,17 @@ makePerfTrace()
     }
     trace.shrinkToFit();
     return trace;
+}
+
+/**
+ * The real-shaped trace: the real_gcc IBS preset at 1/8 scale
+ * (about 250K conditionals), close to makePerfTrace()'s size so
+ * the two sections' repetition counts match.
+ */
+Trace
+makeWorkloadTrace()
+{
+    return generateWorkload(ibsPreset("real_gcc", 0.125));
 }
 
 double
@@ -283,59 +304,23 @@ runGang(const std::string &spec, const Trace &trace, int reps,
     return mrps(double(trace.size()) * reps * width, seconds);
 }
 
-/** Enqueue the Figure-5-shaped cell grid over @p trace. */
-void
-enqueueFig5Cells(SweepRunner &runner, const Trace &trace,
-                 const SimOptions &options)
+/** Repetitions per kernel run: about 2M records per timed run. */
+int
+repsFor(const Trace &trace)
 {
-    const std::vector<unsigned> sizeBits = {10, 11, 12, 13, 14};
-    for (const unsigned bits : sizeBits) {
-        runner.enqueue("gshare:" + std::to_string(bits) + ":4",
-                       trace, options);
-        runner.enqueue("gskewed:3:" + std::to_string(bits - 2) +
-                           ":4",
-                       trace, options);
-        runner.enqueue("gskewed:3:" + std::to_string(bits) + ":4",
-                       trace, options);
-    }
+    return std::max<int>(1, int((u64(1) << 21) / trace.size()));
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+/**
+ * One throughput table over @p trace, emitted as @p section: per
+ * spec, the fused, block, simd and gang kernels side by side.
+ */
+void
+throughputSection(const std::string &section, const Trace &trace,
+                  const std::vector<std::string> &specs,
+                  std::size_t block)
 {
-    using namespace bpred::bench;
-
-    init(argc, argv);
-    banner("replay kernel throughput",
-           "Fused vs per-block vs simd vs gang replay, and a "
-           "fig5-shaped sweep per-cell vs ganged.");
-
-    const Trace trace = makePerfTrace();
-    const std::size_t block = blockRecords();
-    const int reps =
-        std::max<int>(1, int((u64(1) << 21) / trace.size()));
-    std::cout << "[perf] synthetic trace: " << trace.size()
-              << " records, " << reps << " reps/kernel, block "
-              << block << " records\n\n";
-
-    const std::vector<std::string> specs = {
-        "bimodal:14",      "gshare:14:10", "gselect:14:10",
-        "hybrid:13:10",    "gskewed:3:12:10", "egskew:12:10",
-    };
-
-    // Every number is a median of timingRepetitions runs; the
-    // resolved dispatch and repetition count land in the JSON so
-    // perf artifacts are self-describing.
-    const SimdMode resolved = resolveSimdMode(SimdMode::Auto);
-    recordReportField("repetitions", u64(timingRepetitions));
-    recordReportField("simd_mode",
-                      std::string(simdModeName(resolved)));
-    std::cout << "[perf] simd dispatch resolves to "
-              << simdModeName(resolved) << ", median of "
-              << timingRepetitions << " runs per kernel\n\n";
-
+    const int reps = repsFor(trace);
     // IPC / MPKrec come from a perf_event group bracketing the
     // block kernel; unavailable counters (containers, non-Linux)
     // print "-" and are omitted from the JSON stats.
@@ -397,17 +382,21 @@ main(int argc, char **argv)
             hw.running("perf.branch_mpkr")
                 .sample(PerfSample::perKilo(sample.branchMisses,
                                             blockRecordsTotal));
-            emitStats("throughput", spec, hw);
+            emitStats(section, spec, hw);
         }
     }
-    emitTable("throughput", table);
+    emitTable(section, table);
+}
 
-    // Correctness gate for the phase-split path: every scheme the
-    // factory can build must produce tallies and predictor state
-    // byte-identical to the fused scalar reference. A divergence
-    // fails the whole bench (nonzero exit), so CI catches a broken
-    // vector kernel even when throughput looks healthy.
-    bool simdIdentical = true;
+/**
+ * The phase-split identity gate over @p trace for every factory
+ * scheme, emitted as @p section; false on any divergence.
+ */
+bool
+identitySection(const std::string &section, const Trace &trace,
+                std::size_t block)
+{
+    bool identical = true;
     TextTable identity({"scheme", "spec", "identical"});
     for (const SchemeInfo &scheme : listSchemes()) {
         const bool ok = simdMatchesScalar(scheme.example, trace,
@@ -416,9 +405,78 @@ main(int argc, char **argv)
             .cell(scheme.name)
             .cell(scheme.example)
             .cell(std::string(ok ? "yes" : "NO"));
-        simdIdentical = simdIdentical && ok;
+        identical = identical && ok;
     }
-    emitTable("simd_identity", identity);
+    emitTable(section, identity);
+    return identical;
+}
+
+/** Enqueue the Figure-5-shaped cell grid over @p trace. */
+void
+enqueueFig5Cells(SweepRunner &runner, const Trace &trace,
+                 const SimOptions &options)
+{
+    const std::vector<unsigned> sizeBits = {10, 11, 12, 13, 14};
+    for (const unsigned bits : sizeBits) {
+        runner.enqueue("gshare:" + std::to_string(bits) + ":4",
+                       trace, options);
+        runner.enqueue("gskewed:3:" + std::to_string(bits - 2) +
+                           ":4",
+                       trace, options);
+        runner.enqueue("gskewed:3:" + std::to_string(bits) + ":4",
+                       trace, options);
+    }
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    init(argc, argv);
+    banner("replay kernel throughput",
+           "Fused vs per-block vs simd vs gang replay, and a "
+           "fig5-shaped sweep per-cell vs ganged.");
+
+    const Trace trace = makePerfTrace();
+    const std::size_t block = blockRecords();
+    std::cout << "[perf] synthetic trace: " << trace.size()
+              << " records, " << repsFor(trace)
+              << " reps/kernel, block " << block << " records\n\n";
+
+    // Every number is a median of timingRepetitions runs; the
+    // resolved dispatch and repetition count land in the JSON so
+    // perf artifacts are self-describing.
+    const SimdMode resolved = resolveSimdMode(SimdMode::Auto);
+    recordReportField("repetitions", u64(timingRepetitions));
+    recordReportField("simd_mode",
+                      std::string(simdModeName(resolved)));
+    std::cout << "[perf] simd dispatch resolves to "
+              << simdModeName(resolved) << ", median of "
+              << timingRepetitions << " runs per kernel\n\n";
+
+    const std::vector<std::string> specs = {
+        "bimodal:14",      "gshare:14:10", "gselect:14:10",
+        "hybrid:13:10",    "gskewed:3:12:10", "egskew:12:10",
+    };
+    throughputSection("throughput", trace, specs, block);
+
+    // Correctness gate for the phase-split path: every scheme the
+    // factory can build must produce tallies and predictor state
+    // byte-identical to the fused scalar reference. A divergence
+    // fails the whole bench (nonzero exit), so CI catches a broken
+    // vector kernel even when throughput looks healthy.
+    bool simdIdentical = identitySection("simd_identity", trace, block);
+
+    // The same two over real-shaped records.
+    const Trace workload = makeWorkloadTrace();
+    std::cout << "\n[perf] workload trace (real_gcc preset): "
+              << workload.size() << " records, "
+              << repsFor(workload) << " reps/kernel\n\n";
+    throughputSection("throughput_workload", workload, specs, block);
+    simdIdentical =
+        identitySection("simd_identity_workload", workload, block) &&
+        simdIdentical;
 
     // The acceptance gauge: the same fig5-shaped sweep (15 cells,
     // one shared trace) through SweepRunner at the same thread

@@ -7,15 +7,15 @@
  * phase structure and the intrinsics policy); this header adds the
  * pieces specific to core/skew.hh — the H / H^-1 bit-mixing
  * permutations lifted to four 64-bit lanes, the packed information
- * vector, and the majority-vote resolve with the Total / Partial /
- * PartialLazy update policies in branchless form.
+ * vector, and the resolve pass that applies the majority vote and
+ * update policy as one transition-table lookup per conditional.
  */
 
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
-#include <type_traits>
 
 #include "core/skew.hh"
 #include "predictors/block_kernel_simd.hh"
@@ -301,280 +301,158 @@ fillSkewIndexGroup(SimdMode mode, const u64 *pc, const u64 *history,
     }
 }
 
+/**
+ * Widest key the skewed transition table takes: 2^11 u16 entries
+ * (4 KB) sit in L1 next to the counters they serve.
+ */
+constexpr unsigned skewTableMaxKeyBits = 11;
+
+/**
+ * True when a group of @p num_banks banks of @p counter_bits-bit
+ * counters resolves through a transition table: the key, every
+ * bank's counter value plus the outcome, must fit
+ * skewTableMaxKeyBits. That covers 1, 3 and 5 banks at the paper's
+ * (and every factory spec's) <= 2-bit counters and 3 banks at 3
+ * bits; wider groups take the fused block kernel instead.
+ */
+constexpr bool
+skewTableFits(unsigned num_banks, unsigned counter_bits)
+{
+    return num_banks * counter_bits + 1 <= skewTableMaxKeyBits;
+}
+
 namespace detail
 {
 
 /**
- * The release resolve span for the skewed family: per record, a
- * majority vote over @p NumBanks counter reads followed by the
- * branchless Total / Partial / PartialLazy policy writes. The bank
- * geometry is hoisted to raw base pointers and a shared
- * threshold/max (the group is uniform); @p StrideConst bakes the
- * view stride in at compile time when it is the interleaved
- * NumBanks or the contiguous 1 — the common layouts — so the
- * address math is a lea, not an imul (StrideConst 0 falls back to
- * the runtime stride). Two-record unroll with split accumulators:
- * the compiler does not unroll this loop at -O2 and the
- * per-iteration dependency chains are short enough that pairing
- * records measurably overlaps their counter accesses.
+ * One conditional through the transition @p table (layout in
+ * resolveSkewedBanks): pack the counters under @p counter and the
+ * outcome @p taken into the key, store every bank's next value from
+ * the entry, and return the entry's tail, the mispredict bit plus
+ * twice the bank-write count.
  */
-template <unsigned NumBanks, unsigned StrideConst>
-inline void
-resolveSkewedSpan(u8 *const (&base)[NumBanks], unsigned stride,
-                  const u32 *const (&idx)[NumBanks], const u8 *taken,
-                  std::size_t begin, std::size_t end, u8 max,
-                  u8 threshold, bool partial, bool lazy, u64 &mis0,
-                  u64 &mis1, u64 &writes0, u64 &writes1)
+template <unsigned NumBanks>
+[[gnu::always_inline]] inline unsigned
+skewTableStep(u8 *const (&counter)[NumBanks], u8 taken,
+              const u16 *table, unsigned width)
 {
-    const auto one = [&](std::size_t j, u64 &mis, u64 &writes) {
-        const u8 t = taken[j];
-        u8 *ptr[NumBanks];
-        u8 values[NumBanks];
-        bool predictions[NumBanks];
-        unsigned votes = 0;
-        for (unsigned bank = 0; bank < NumBanks; ++bank) {
-            const std::size_t offset = std::size_t(idx[bank][j]) *
-                (StrideConst ? StrideConst : stride);
-            ptr[bank] = base[bank] + offset;
-            values[bank] = *ptr[bank];
-            predictions[bank] = values[bank] >= threshold;
-            votes += unsigned(predictions[bank]);
-        }
-        const bool outcome = t != 0;
-        const bool overall = votes * 2 > NumBanks;
-        const bool overall_correct = overall == outcome;
-        const u8 saturated = u8(max * t);
-        for (unsigned bank = 0; bank < NumBanks; ++bank) {
-            const bool bank_correct = predictions[bank] == outcome;
-            const u8 value = values[bank];
-            const int skip_partial = int(partial) &
-                int(overall_correct) & int(!bank_correct);
-            const int skip_lazy = int(lazy) & int(bank_correct) &
-                int(value == saturated);
-            const int write = 1 & ~(skip_partial | skip_lazy);
-            const int up = int(t) & int(value < max);
-            const int down = int(t ^ 1) & int(value > 0);
-            *ptr[bank] = u8(value + write * (up - down));
-            writes += u64(write);
-        }
-        mis += u64(overall != outcome);
-    };
-    std::size_t j = begin;
-    for (; j + 2 <= end; j += 2) {
-        one(j, mis0, writes0);
-        one(j + 1, mis1, writes1);
+    unsigned key = unsigned(taken) << (NumBanks * width);
+#pragma GCC unroll 8
+    for (unsigned bank = 0; bank < NumBanks; ++bank) {
+        key |= unsigned(*counter[bank]) << (bank * width);
     }
-    for (; j < end; ++j) {
-        one(j, mis0, writes0);
+    BP_DCHECK(key < (2u << (NumBanks * width)),
+              "skewTableStep: key outside the transition table");
+    const unsigned entry = table[key];
+    const unsigned value_mask = (1u << width) - 1;
+#pragma GCC unroll 8
+    for (unsigned bank = 0; bank < NumBanks; ++bank) {
+        *counter[bank] = u8((entry >> (bank * width)) & value_mask);
     }
+    return entry >> (NumBanks * width);
 }
 
 /**
- * The three-bank resolve span fully scalarized: the per-bank arrays
- * of the generic span keep GCC from promoting everything to
- * registers, and three banks is the paper's configuration (gskewed
- * and e-gskew both), so the common case gets straight-line v0/v1/v2
- * code and a bitwise majority — measured ~25% faster than the
- * generic span on e-gskew. The update policy is a template
- * parameter too: Total drops the whole skip computation and Partial
- * (the paper's enhanced default) drops the lazy saturation check,
- * instead of ANDing runtime flags per bank per record.
+ * The resolve span: one table step per record at the precomputed
+ * indices (interleaved group: the stride is the bank count, a lea).
+ * A nonzero @p WidthConst makes the shifts immediates and frees the
+ * shift-count registers; 0 reads @p width at run time. A free
+ * function with local tallies, so they stay in registers.
  */
-template <unsigned StrideConst, bool Partial, bool Lazy>
+template <unsigned NumBanks, unsigned WidthConst>
 inline void
-resolveSkewed3Span(u8 *const (&base)[3], unsigned stride,
-                   const u32 *const (&idx)[3], const u8 *taken,
-                   std::size_t begin, std::size_t end, u8 max,
-                   u8 threshold, u64 &mis0, u64 &mis1, u64 &writes0,
-                   u64 &writes1)
+resolveSkewTableSpan(u8 *const (&base)[NumBanks],
+                     u32 *const (&idx)[NumBanks],
+                     const u8 *taken, std::size_t begin,
+                     std::size_t end, const u16 *table,
+                     unsigned width, u64 &mispredicts, u64 &writes)
 {
-    u8 *const b0 = base[0];
-    u8 *const b1 = base[1];
-    u8 *const b2 = base[2];
-    const u32 *const i0 = idx[0];
-    const u32 *const i1 = idx[1];
-    const u32 *const i2 = idx[2];
-    const auto one = [&](std::size_t j, u64 &mis, u64 &writes) {
-        const u8 t = taken[j];
-        const unsigned s = StrideConst ? StrideConst : stride;
-        u8 *const p0 = b0 + std::size_t(i0[j]) * s;
-        u8 *const p1 = b1 + std::size_t(i1[j]) * s;
-        u8 *const p2 = b2 + std::size_t(i2[j]) * s;
-        const u8 v0 = *p0;
-        const u8 v1 = *p1;
-        const u8 v2 = *p2;
-        const bool q0 = v0 >= threshold;
-        const bool q1 = v1 >= threshold;
-        const bool q2 = v2 >= threshold;
-        const bool overall =
-            bool((unsigned(q0) & unsigned(q1)) |
-                 (unsigned(q2) & (unsigned(q0) | unsigned(q1))));
-        const bool outcome = t != 0;
-        const bool overall_correct = overall == outcome;
-        const u8 saturated = u8(max * t);
-        const auto update = [&](u8 *ptr, u8 value, bool prediction,
-                                u64 &w) {
-            const bool bank_correct = prediction == outcome;
-            const int skip_partial = Partial
-                ? int(overall_correct) & int(!bank_correct)
-                : 0;
-            const int skip_lazy = Lazy
-                ? int(bank_correct) & int(value == saturated)
-                : 0;
-            const int write = 1 & ~(skip_partial | skip_lazy);
-            const int up = int(t) & int(value < max);
-            const int down = int(t ^ 1) & int(value > 0);
-            *ptr = u8(value + write * (up - down));
-            w += u64(write);
-        };
-        update(p0, v0, q0, writes);
-        update(p1, v1, q1, writes);
-        update(p2, v2, q2, writes);
-        mis += u64(overall != outcome);
-    };
-    std::size_t j = begin;
-    for (; j + 2 <= end; j += 2) {
-        one(j, mis0, writes0);
-        one(j + 1, mis1, writes1);
+    const unsigned w = WidthConst ? WidthConst : width;
+    u64 mis = 0;
+    u64 tail_sum = 0;
+    for (std::size_t j = begin; j < end; ++j) {
+        u8 *counter[NumBanks];
+#pragma GCC unroll 8
+        for (unsigned bank = 0; bank < NumBanks; ++bank) {
+            counter[bank] =
+                base[bank] + std::size_t(idx[bank][j]) * NumBanks;
+        }
+        const unsigned tail = skewTableStep(counter, taken[j], table, w);
+        mis += tail & 1;
+        tail_sum += tail;
     }
-    for (; j < end; ++j) {
-        one(j, mis0, writes0);
-    }
+    mispredicts += mis;
+    writes += (tail_sum - mis) >> 1;
 }
 
 } // namespace detail
 
 /**
  * Phases 2+3 for the skewed family: resolve @p n precomputed
- * conditionals against the @p NumBanks bank views. When
- * @p prefetch_counters is set (bank group too big to sit in L1 —
- * simdWantsCounterPrefetch over the group's total footprint), the
- * pass runs in sub-batches, prefetching every bank's counter line
- * for the next sub-batch first; L1-resident groups run one flat
- * loop, since the prefetch instructions themselves would be the
- * overhead. The vote / policy arithmetic is the branchless form of
- * the fused SkewedBlockState::step(), consuming precomputed indices;
- * @p recompute(bank, j) is the scalar bank-index reference used by
- * checked builds to verify and repair (see block_kernel_simd.hh).
- * The banks must be one uniform group (shared counter width and
- * stride) — every caller's are.
+ * conditionals against the @p NumBanks bank views, one lookup in
+ * the transition @p table each. With w the counter width, the key
+ * holds bank b's counter value at bits [b*w, b*w+w) and the outcome
+ * at bit NumBanks*w; the entry holds every bank's next value at the
+ * same positions, the mispredict bit at NumBanks*w and the
+ * bank-write count above it. The table memoises the vote and update
+ * policy (SkewedPredictor builds it from its fused step's function),
+ * so this pass has no policy arithmetic of its own. With
+ * @p prefetch_counters (group too big for L1, see
+ * simdWantsCounterPrefetch) it runs in sub-batches, prefetching the
+ * next sub-batch's counter lines first. Checked builds first verify
+ * each index against @p recompute(bank, j), the scalar reference,
+ * and repair it in place (see block_kernel_simd.hh). The banks must
+ * be one interleaved group that fits the table (skewTableFits).
  */
 template <unsigned NumBanks, typename RecomputeIndex>
 inline void
 resolveSkewedBanks(SatCounterArray::View (&banks)[NumBanks],
-                   const u32 *const (&idx)[NumBanks], const u8 *taken,
-                   std::size_t n, bool partial, bool lazy,
-                   [[maybe_unused]] bool prefetch_counters,
-                   ReplayCounters &counters,
+                   u32 *const (&idx)[NumBanks], const u8 *taken,
+                   std::size_t n, const u16 *table,
+                   bool prefetch_counters, ReplayCounters &counters,
                    u64 &bank_write_count,
                    [[maybe_unused]] RecomputeIndex &&recompute)
 {
-    const u8 max = banks[0].max;
-    const u8 threshold = banks[0].threshold;
-    const unsigned stride = banks[0].stride;
-    for (unsigned bank = 1; bank < NumBanks; ++bank) {
-        BP_DCHECK(banks[bank].max == max &&
-                      banks[bank].threshold == threshold &&
-                      banks[bank].stride == stride,
-                  "resolveSkewedBanks: non-uniform bank group");
-    }
-
-#ifdef BPRED_CHECKED
-    // Checked builds keep the straight-line loop: per-record index
-    // verification dominates anyway, and the repair path stays
-    // readable.
-    u64 mispredicts = 0;
-    u64 bank_writes = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-        const bool outcome = taken[j] != 0;
-        u64 indices[NumBanks];
-        u8 values[NumBanks];
-        bool bank_predictions[NumBanks];
-        unsigned votes_taken = 0;
-        for (unsigned bank = 0; bank < NumBanks; ++bank) {
-            indices[bank] = idx[bank][j];
-            const u64 expected = recompute(bank, j);
-            if (indices[bank] != expected) [[unlikely]] {
-                noteIndexRepair();
-                indices[bank] = expected;
-            }
-            values[bank] = banks[bank].value(indices[bank]);
-            bank_predictions[bank] =
-                values[bank] >= banks[bank].threshold;
-            votes_taken += unsigned(bank_predictions[bank]);
-        }
-        const bool overall = votes_taken * 2 > NumBanks;
-        const bool overall_correct = overall == outcome;
-        const u8 saturated = static_cast<u8>(max * int(outcome));
-        for (unsigned bank = 0; bank < NumBanks; ++bank) {
-            const bool bank_correct =
-                bank_predictions[bank] == outcome;
-            const u8 value = values[bank];
-            const int skip_partial = int(partial) &
-                int(overall_correct) & int(!bank_correct);
-            const int skip_lazy = int(lazy) & int(bank_correct) &
-                int(value == saturated);
-            const int write = 1 & ~(skip_partial | skip_lazy);
-            const int up = int(outcome) & int(value < max);
-            const int down = int(!outcome) & int(value > 0);
-            banks[bank].at(indices[bank]) =
-                static_cast<u8>(value + write * (up - down));
-            bank_writes += u64(write);
-        }
-        mispredicts += u64(overall != outcome);
-    }
-    counters.conditionals += n;
-    counters.mispredicts += mispredicts;
-    bank_write_count += bank_writes;
-    return;
-#else
+    const unsigned width =
+        unsigned(std::bit_width(unsigned(banks[0].max)));
+    BP_DCHECK(skewTableFits(NumBanks, width),
+              "resolveSkewedBanks: group too wide for the table");
     u8 *base[NumBanks];
     for (unsigned bank = 0; bank < NumBanks; ++bank) {
+        BP_DCHECK(banks[bank].max == banks[0].max &&
+                      banks[bank].stride == NumBanks,
+                  "resolveSkewedBanks: not one interleaved group");
         base[bank] = banks[bank].values;
     }
-    u64 mis0 = 0;
-    u64 mis1 = 0;
-    u64 writes0 = 0;
-    u64 writes1 = 0;
-    const auto span = [&](std::size_t begin, std::size_t end) {
-        if constexpr (NumBanks == 3) {
-            const auto run3 = [&](auto stride_const, auto is_partial,
-                                  auto is_lazy) {
-                detail::resolveSkewed3Span<stride_const(),
-                                           is_partial(), is_lazy()>(
-                    base, stride, idx, taken, begin, end, max,
-                    threshold, mis0, mis1, writes0, writes1);
-            };
-            const auto policy = [&](auto stride_const) {
-                const auto k3 = std::integral_constant<bool, true>();
-                const auto k0 = std::integral_constant<bool, false>();
-                if (lazy) {
-                    run3(stride_const, k3, k3);
-                } else if (partial) {
-                    run3(stride_const, k3, k0);
-                } else {
-                    run3(stride_const, k0, k0);
-                }
-            };
-            if (stride == 3) {
-                policy(std::integral_constant<unsigned, 3>());
-            } else if (stride == 1) {
-                policy(std::integral_constant<unsigned, 1>());
-            } else {
-                policy(std::integral_constant<unsigned, 0>());
+#ifdef BPRED_CHECKED
+    // Verify and repair first, so checked builds resolve through
+    // the very loop release builds run.
+    for (std::size_t j = 0; j < n; ++j) {
+        for (unsigned bank = 0; bank < NumBanks; ++bank) {
+            const u64 expected = recompute(bank, j);
+            if (idx[bank][j] != expected) [[unlikely]] {
+                noteIndexRepair();
+                idx[bank][j] = static_cast<u32>(expected);
             }
-        } else if (stride == NumBanks) {
-            detail::resolveSkewedSpan<NumBanks, NumBanks>(
-                base, stride, idx, taken, begin, end, max, threshold,
-                partial, lazy, mis0, mis1, writes0, writes1);
-        } else if (stride == 1) {
-            detail::resolveSkewedSpan<NumBanks, 1>(
-                base, stride, idx, taken, begin, end, max, threshold,
-                partial, lazy, mis0, mis1, writes0, writes1);
+        }
+    }
+#endif
+    u64 mispredicts = 0;
+    u64 writes = 0;
+    // The paper's 1- and 2-bit counters get constant shifts (~25%
+    // on this pass); wider ones read the width at run time.
+    const auto span = [&](std::size_t begin, std::size_t end) {
+        const auto run = [&]<unsigned WidthConst>() {
+            detail::resolveSkewTableSpan<NumBanks, WidthConst>(
+                base, idx, taken, begin, end, table, width,
+                mispredicts, writes);
+        };
+        if (width == 1) {
+            run.template operator()<1>();
+        } else if (width == 2) {
+            run.template operator()<2>();
         } else {
-            detail::resolveSkewedSpan<NumBanks, 0>(
-                base, stride, idx, taken, begin, end, max, threshold,
-                partial, lazy, mis0, mis1, writes0, writes1);
+            run.template operator()<0>();
         }
     };
     if (prefetch_counters) {
@@ -586,7 +464,7 @@ resolveSkewedBanks(SatCounterArray::View (&banks)[NumBanks],
                 for (unsigned bank = 0; bank < NumBanks; ++bank) {
                     __builtin_prefetch(
                         base[bank] +
-                            std::size_t(idx[bank][j]) * stride,
+                            std::size_t(idx[bank][j]) * NumBanks,
                         1);
                 }
             }
@@ -596,9 +474,8 @@ resolveSkewedBanks(SatCounterArray::View (&banks)[NumBanks],
         span(0, n);
     }
     counters.conditionals += n;
-    counters.mispredicts += mis0 + mis1;
-    bank_write_count += writes0 + writes1;
-#endif
+    counters.mispredicts += mispredicts;
+    bank_write_count += writes;
 }
 
 } // namespace bpred

@@ -1,6 +1,8 @@
 #include "core/skewed_predictor.hh"
 
-#include <cassert>
+#include <algorithm>
+#include <array>
+#include <vector>
 
 #include "core/skew.hh"
 #include "core/skewed_kernel_simd.hh"
@@ -14,6 +16,150 @@
 
 namespace bpred
 {
+
+namespace
+{
+
+/**
+ * What one resolved conditional does to a skewed predictor's
+ * @p NumBanks banks: every bank's vote, the majority, and per bank
+ * the policy's decision and the counter's next value.
+ */
+template <unsigned NumBanks>
+struct SkewedResolve
+{
+    bool overall;
+    bool bankPredictions[NumBanks];
+    bool skipPartial[NumBanks];
+    bool skipLazy[NumBanks];
+    u8 next[NumBanks];
+    unsigned writes;
+};
+
+/**
+ * The majority vote and the Total / Partial / PartialLazy update
+ * policy over the banks' counter @p values for outcome @p taken —
+ * their one definition. The fused step calls it per branch; the
+ * phase-split resolve reads a table built by calling it for every
+ * combination of counter values and outcome.
+ *
+ * The skips are decided by data, so they are straight-line ALU
+ * arithmetic (bitwise bool combination, write-enable folded into
+ * the next value) and the fused loop carries no data-dependent
+ * branch the host CPU could mispredict. A skipped bank keeps its
+ * value and does not count as a bank write. Partial: a bank that
+ * disagreed while the vote was right likely serves another
+ * substream, so it is left alone. PartialLazy: also skip a write
+ * that would not change a counter already saturated toward the
+ * outcome.
+ */
+template <unsigned NumBanks>
+[[gnu::always_inline]] inline SkewedResolve<NumBanks>
+resolveSkewed(const u8 (&values)[NumBanks], bool taken, u8 max,
+              u8 threshold, UpdatePolicy policy)
+{
+    SkewedResolve<NumBanks> resolved;
+    unsigned votes_taken = 0;
+#pragma GCC unroll 8
+    for (unsigned bank = 0; bank < NumBanks; ++bank) {
+        resolved.bankPredictions[bank] = values[bank] >= threshold;
+        votes_taken += unsigned(resolved.bankPredictions[bank]);
+    }
+    resolved.overall = votes_taken * 2 > NumBanks;
+    const bool overall_correct = resolved.overall == taken;
+    const bool partial = policy == UpdatePolicy::Partial ||
+        policy == UpdatePolicy::PartialLazy;
+    const bool lazy = policy == UpdatePolicy::PartialLazy;
+    const u8 saturated = static_cast<u8>(max * int(taken));
+    resolved.writes = 0;
+#pragma GCC unroll 8
+    for (unsigned bank = 0; bank < NumBanks; ++bank) {
+        const bool bank_correct =
+            resolved.bankPredictions[bank] == taken;
+        const u8 value = values[bank];
+        const int skip_partial = int(partial) & int(overall_correct) &
+            int(!bank_correct);
+        const int skip_lazy = int(lazy) & int(bank_correct) &
+            int(value == saturated);
+        const int write = 1 & ~(skip_partial | skip_lazy);
+        const int up = int(taken) & int(value < max);
+        const int down = int(!taken) & int(value > 0);
+        resolved.next[bank] =
+            static_cast<u8>(value + write * (up - down));
+        resolved.skipPartial[bank] = skip_partial != 0;
+        resolved.skipLazy[bank] = skip_lazy != 0;
+        resolved.writes += unsigned(write);
+    }
+    return resolved;
+}
+
+/**
+ * resolveSkewed() over every key of the phase-split transition
+ * table for @p NumBanks banks of @p width-bit counters under
+ * @p policy (key and entry layout in resolveSkewedBanks).
+ */
+template <unsigned NumBanks>
+std::vector<u16>
+buildTransitionTable(unsigned width, UpdatePolicy policy)
+{
+    const unsigned value_bits = NumBanks * width;
+    const u8 max = static_cast<u8>(mask(width));
+    const u8 threshold = static_cast<u8>(1u << (width - 1));
+    std::vector<u16> table(std::size_t(2) << value_bits);
+    for (unsigned key = 0; key < table.size(); ++key) {
+        u8 values[NumBanks];
+        for (unsigned bank = 0; bank < NumBanks; ++bank) {
+            values[bank] = static_cast<u8>((key >> (bank * width)) & max);
+        }
+        const bool taken = (key >> value_bits) != 0;
+        const SkewedResolve<NumBanks> resolved =
+            resolveSkewed(values, taken, max, threshold, policy);
+        unsigned entry = (unsigned(resolved.overall != taken) |
+                          resolved.writes << 1)
+            << value_bits;
+        for (unsigned bank = 0; bank < NumBanks; ++bank) {
+            entry |= unsigned(resolved.next[bank]) << (bank * width);
+        }
+        BP_CHECK(entry <= 0xffff, "transition entry overflows u16");
+        table[key] = static_cast<u16>(entry);
+    }
+    return table;
+}
+
+/**
+ * The transition table for @p NumBanks banks of @p width-bit
+ * counters under @p policy; the group must fit one (skewTableFits).
+ * A bank count's tables are built together on first use, once per
+ * process, and never change; the function-local static makes that
+ * safe from any thread and costs a predictor nothing to construct.
+ */
+template <unsigned NumBanks>
+const u16 *
+transitionTable(unsigned width, UpdatePolicy policy)
+{
+    BP_DCHECK(skewTableFits(NumBanks, width),
+              "transitionTable: group too wide for a table");
+    // Counter widths stop at 8 bits (u8 storage); one table per
+    // width and policy, indexed by the policy's enum value.
+    constexpr unsigned maxWidth =
+        std::min((skewTableMaxKeyBits - 1) / NumBanks, 8u);
+    constexpr std::size_t policies = 3;
+    static const auto tables = [] {
+        std::array<std::array<std::vector<u16>, policies>,
+                   maxWidth + 1>
+            built;
+        for (unsigned w = 1; w <= maxWidth; ++w) {
+            for (std::size_t p = 0; p < policies; ++p) {
+                built[w][p] = buildTransitionTable<NumBanks>(
+                    w, static_cast<UpdatePolicy>(p));
+            }
+        }
+        return built;
+    }();
+    return tables[width][static_cast<std::size_t>(policy)].data();
+}
+
+} // namespace
 
 /**
  * Skewed-predictor hot state (see block_kernel.hh): per-bank counter
@@ -53,76 +199,46 @@ struct SkewedPredictor::State
     [[gnu::always_inline]] bool
     step(Addr pc, bool taken, Sink &sink)
     {
-        // Per-bank indices and votes with the pre-branch history,
-        // then the update policy.
-        unsigned votes_taken = 0;
+        // Per-bank indices and counter reads with the pre-branch
+        // history, then the vote and the update policy.
         u64 indices[NumBanks];
         u8 values[NumBanks];
-        bool bank_predictions[NumBanks];
+#pragma GCC unroll 8
         for (unsigned bank = 0; bank < NumBanks; ++bank) {
             indices[bank] =
                 skewedBankIndex(config, bank, pc, history.raw());
             values[bank] = banks[bank].value(indices[bank]);
-            bank_predictions[bank] =
-                values[bank] >= banks[bank].threshold;
-            votes_taken += unsigned(bank_predictions[bank]);
         }
-        const bool overall = votes_taken * 2 > NumBanks;
-        const bool overall_correct = overall == taken;
+        const SkewedResolve<NumBanks> resolved =
+            resolveSkewed(values, taken, banks[0].max,
+                          banks[0].threshold, config.updatePolicy);
         if constexpr (publishes<Sink>) {
-            sink.onResolved({pc, overall, taken});
+            sink.onResolved({pc, resolved.overall, taken});
             for (unsigned bank = 0; bank < NumBanks; ++bank) {
-                sink.onBankVote(
-                    {pc, bank, bank_predictions[bank], overall, taken});
+                sink.onBankVote({pc, bank,
+                                 resolved.bankPredictions[bank],
+                                 resolved.overall, taken});
             }
         }
-
-        // The policy skips are decided by data (the branch outcome
-        // and per-bank agreement), so they are computed as
-        // straight-line ALU arithmetic — bitwise bool combination,
-        // write-enable folded into the store multiplicatively — and
-        // the loop carries no data-dependent branch the host CPU
-        // could mispredict. A policy-skipped bank stores its old
-        // value back and does not count as a bank write.
-        //
-        // Partial: a bank that disagreed while the vote was right
-        // likely serves another substream, so it is left alone.
-        // PartialLazy: also skip a write that would not change a
-        // counter already saturated toward the outcome.
-        const bool partial =
-            config.updatePolicy == UpdatePolicy::Partial ||
-            config.updatePolicy == UpdatePolicy::PartialLazy;
-        const bool lazy =
-            config.updatePolicy == UpdatePolicy::PartialLazy;
-        const u8 max = banks[0].max;
-        const u8 saturated = static_cast<u8>(max * int(taken));
+#pragma GCC unroll 8
         for (unsigned bank = 0; bank < NumBanks; ++bank) {
-            const bool bank_correct = bank_predictions[bank] == taken;
-            const u8 value = values[bank];
-            const int skip_partial = int(partial) &
-                int(overall_correct) & int(!bank_correct);
-            const int skip_lazy = int(lazy) & int(bank_correct) &
-                int(value == saturated);
-            const int write = 1 & ~(skip_partial | skip_lazy);
-            const int up = int(taken) & int(value < max);
-            const int down = int(!taken) & int(value > 0);
-            const u8 next = static_cast<u8>(value + write * (up - down));
+            const u8 next = resolved.next[bank];
             banks[bank].at(indices[bank]) = next;
-            bankWrites += u64(write);
             if constexpr (publishes<Sink>) {
-                if (skip_partial) {
+                if (resolved.skipPartial[bank]) {
                     sink.onUpdateSkip(
                         {bank, UpdateSkipEvent::Reason::PartialProtect});
-                } else if (skip_lazy) {
+                } else if (resolved.skipLazy[bank]) {
                     sink.onUpdateSkip(
                         {bank, UpdateSkipEvent::Reason::LazySaturated});
-                } else if (next != value) {
-                    sink.onCounterWrite({bank, value, next});
+                } else if (next != values[bank]) {
+                    sink.onCounterWrite({bank, values[bank], next});
                 }
             }
         }
+        bankWrites += resolved.writes;
         history.shiftIn(taken);
-        return overall;
+        return resolved.overall;
     }
 
     void unconditional(Addr) { history.shiftIn(true); }
@@ -214,6 +330,7 @@ SkewedPredictor::replayPhaseSplit(const BranchRecord *records,
                                   ReplayScratch &scratch)
 {
     if (!simdSkewGeometryOk(config.bankIndexBits, config.historyBits) ||
+        !skewTableFits(config.numBanks, config.counterBits) ||
         resolveSimdMode(scratch.mode) != SimdMode::Avx2) {
         return false;
     }
@@ -221,16 +338,13 @@ SkewedPredictor::replayPhaseSplit(const BranchRecord *records,
     // count: precompute every bank's indices for the block with the
     // vectorized f0..f4 kernels first (skewed_kernel_simd.hh) —
     // exact, because history advances on outcomes, never
-    // predictions — and resolve fed by them with cross-bank
-    // prefetch.
+    // predictions — then resolve fed by them, one transition-table
+    // lookup per conditional, with cross-bank prefetch.
     return withState([&]<unsigned NumBanks>(State<NumBanks> &state) {
+        const u16 *table = transitionTable<NumBanks>(
+            config.counterBits, config.updatePolicy);
         const bool identical =
             config.indexing == BankIndexing::IdenticalGshare;
-        const bool partial =
-            config.updatePolicy == UpdatePolicy::Partial ||
-            config.updatePolicy == UpdatePolicy::PartialLazy;
-        const bool lazy =
-            config.updatePolicy == UpdatePolicy::PartialLazy;
         // One u8 counter per entry per bank: the group's total
         // footprint decides whether the resolve pass prefetches.
         const bool prefetch = simdWantsCounterPrefetch(
@@ -267,7 +381,7 @@ SkewedPredictor::replayPhaseSplit(const BranchRecord *records,
                             ? scratch.indices[0].data()
                             : nullptr);
                 }
-                const u32 *idx[NumBanks];
+                u32 *idx[NumBanks];
                 for (unsigned bank = 0; bank < NumBanks; ++bank) {
                     idx[bank] = identical
                         ? scratch.indices[0].data()
@@ -275,7 +389,7 @@ SkewedPredictor::replayPhaseSplit(const BranchRecord *records,
                 }
                 resolveSkewedBanks(
                     state.banks, idx, scratch.taken.data(),
-                    conditionals, partial, lazy, prefetch, counters,
+                    conditionals, table, prefetch, counters,
                     bankWriteCount,
                     [&](unsigned bank, std::size_t j) -> u64 {
                         return skewedBankIndex(config, bank, pcs[j],

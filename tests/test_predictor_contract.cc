@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/skewed_predictor.hh"
 #include "predictors/predictor.hh"
 #include "predictors/replay_scratch.hh"
 #include "sim/driver.hh"
@@ -23,6 +24,7 @@
 #include "support/rng.hh"
 #include "support/simd.hh"
 #include "trace/trace.hh"
+#include "workloads/process_mix.hh"
 
 namespace bpred
 {
@@ -477,6 +479,81 @@ TEST(ReplayBlockContract, SimdMatchesScalarAcrossBlockSizesAndModes)
                 EXPECT_EQ(want.mispredicts, got.mispredicts);
                 EXPECT_EQ(snapshotBytes(*reference),
                           snapshotBytes(*simd));
+            }
+        }
+    }
+}
+
+TEST(ReplayBlockContract, SkewedTableMatchesFusedAcrossGeometries)
+{
+    // The skewed phase-split resolve reads the vote and update
+    // policy from a transition table built per (banks, counter
+    // width, policy); every geometry it covers must replay exactly
+    // like the fused kernel, and every geometry it does not (5
+    // banks of 3-bit counters) must fall back to it. Two traces: the
+    // contract stream, and a generated workload whose tight loops
+    // revisit a counter on back-to-back conditionals. Snapshot bytes
+    // include the bank-write count, so a table entry with a wrong
+    // write tally fails here even when the counters agree. 12 index
+    // bits put the 5-bank group over the counter-prefetch threshold
+    // while the 1- and 3-bank groups stay L1-resident.
+    WorkloadParams params;
+    params.name = "table-sweep";
+    params.dynamicConditionalTarget = 20000;
+    params.user.staticBranchTarget = 300;
+    params.kernel.staticBranchTarget = 100;
+    params.userQuantumMean = 2000;
+    const Trace traces[] = {contractTrace(16), generateWorkload(params)};
+    const unsigned bankCounts[] = {1, 3, 5};
+    const unsigned counterWidths[] = {1, 2, 3};
+    const UpdatePolicy policies[] = {UpdatePolicy::Total,
+                                     UpdatePolicy::Partial,
+                                     UpdatePolicy::PartialLazy};
+    const char *const indexings[] = {"skewed", "identical",
+                                     "enhanced"};
+    const std::size_t blockSizes[] = {1, 7, 8192};
+    for (const Trace &trace : traces) {
+        for (const unsigned banks : bankCounts) {
+            for (const unsigned width : counterWidths) {
+                for (const UpdatePolicy policy : policies) {
+                    for (const std::string indexing : indexings) {
+                        SkewedPredictor::Config config;
+                        config.numBanks = banks;
+                        config.bankIndexBits = 12;
+                        config.historyBits = 8;
+                        config.counterBits = width;
+                        config.updatePolicy = policy;
+                        config.indexing = indexing == "identical"
+                            ? BankIndexing::IdenticalGshare
+                            : BankIndexing::Skewed;
+                        config.enhanced = indexing == "enhanced";
+                        for (const std::size_t block : blockSizes) {
+                            SkewedPredictor reference(config);
+                            SkewedPredictor table(config);
+                            SCOPED_TRACE(trace.name() + " " +
+                                         table.name() + " w" +
+                                         std::to_string(width) +
+                                         " block=" +
+                                         std::to_string(block));
+                            ReplayScratch scratch;
+                            scratch.mode = SimdMode::Avx2;
+                            const ReplayCounters want =
+                                replayBlocksFixed(reference, trace,
+                                                  block, nullptr);
+                            const ReplayCounters got =
+                                replayBlocksFixed(table, trace, block,
+                                                  &scratch);
+                            EXPECT_EQ(want.conditionals,
+                                      got.conditionals);
+                            EXPECT_EQ(want.mispredicts,
+                                      got.mispredicts);
+                            EXPECT_EQ(reference.bankWrites(),
+                                      table.bankWrites());
+                            EXPECT_EQ(snapshotBytes(reference),
+                                      snapshotBytes(table));
+                        }
+                    }
+                }
             }
         }
     }

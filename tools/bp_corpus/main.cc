@@ -86,6 +86,104 @@ parseFlag(const std::string &flag, const std::string &text, u64 max)
     usage();
 }
 
+/**
+ * Print @p report's per-file and per-spec tables to stdout and, when
+ * @p json_path is set, write its JSON there; returns the number of
+ * files that failed. One span ("corpus", "report") covers it, so a
+ * traced run accounts for its time after the fan-out.
+ */
+u64
+emitReport(const CorpusReport &report, const std::string &directory,
+           const std::string &json_path)
+{
+    TRACE_SCOPE("corpus", "report");
+    std::cout << "== corpus: " << directory << " ==\n";
+    std::cout << "specs:";
+    for (const std::string &spec : report.specs) {
+        std::cout << ' ' << spec;
+    }
+    std::cout << "\n\n";
+
+    std::vector<std::string> headers = {"file", "ingest",
+                                        "records", "cond"};
+    for (const std::string &spec : report.specs) {
+        headers.push_back(spec + " miss%");
+    }
+    headers.push_back("hard sites");
+    headers.push_back("hard share");
+    TextTable table(headers);
+    u64 failures = 0;
+    for (const CorpusFileResult &file : report.files) {
+        table.row();
+        if (!file.error.empty()) {
+            ++failures;
+            table.cell(file.file).cell("ERROR");
+            table.cell(u64(0)).cell(u64(0));
+            for (std::size_t s = 0; s < report.specs.size();
+                 ++s) {
+                table.cell("-");
+            }
+            table.cell("-").cell("-");
+            continue;
+        }
+        table.cell(file.file).cell(file.ingest);
+        table.cell(file.records);
+        table.cell(file.stats.dynamicConditional);
+        for (const SimResult &result : file.results) {
+            table.percentCell(result.mispredictPercent());
+        }
+        table.cell(file.classes.hardSites);
+        table.percentCell(100.0 * file.classes.hardShare());
+    }
+    table.print(std::cout);
+    std::cout << "\n";
+
+    // Per-spec aggregate over the successful files.
+    TextTable summary({"spec", "files", "conditionals",
+                       "mispredicts", "miss%"});
+    const JsonValue merged = report.toJson();
+    for (std::size_t s = 0; s < report.specs.size(); ++s) {
+        u64 conditionals = 0;
+        u64 mispredicts = 0;
+        u64 ok_files = 0;
+        for (const CorpusFileResult &file : report.files) {
+            if (!file.error.empty() ||
+                s >= file.results.size()) {
+                continue;
+            }
+            ++ok_files;
+            conditionals += file.results[s].conditionals;
+            mispredicts += file.results[s].mispredicts;
+        }
+        summary.row().cell(report.specs[s]).cell(ok_files);
+        summary.cell(conditionals).cell(mispredicts);
+        summary.percentCell(conditionals == 0
+                                ? 0.0
+                                : 100.0 *
+                                    static_cast<double>(
+                                        mispredicts) /
+                                    static_cast<double>(
+                                        conditionals));
+    }
+    summary.print(std::cout);
+
+    if (failures > 0) {
+        std::cout << "\n" << failures
+                  << " file(s) failed; see JSON for details\n";
+    }
+
+    if (!json_path.empty()) {
+        std::ofstream os(json_path);
+        if (!os) {
+            fatal("cannot open '" + json_path +
+                  "' for writing");
+        }
+        merged.write(os, 2);
+        os << "\n";
+    }
+    return failures;
+}
+
 } // namespace
 
 int
@@ -158,90 +256,8 @@ main(int argc, char **argv)
                 std::chrono::steady_clock::now() - started)
                 .count();
 
-        std::cout << "== corpus: " << directory << " ==\n";
-        std::cout << "specs:";
-        for (const std::string &spec : report.specs) {
-            std::cout << ' ' << spec;
-        }
-        std::cout << "\n\n";
-
-        std::vector<std::string> headers = {"file", "ingest",
-                                            "records", "cond"};
-        for (const std::string &spec : report.specs) {
-            headers.push_back(spec + " miss%");
-        }
-        headers.push_back("hard sites");
-        headers.push_back("hard share");
-        TextTable table(headers);
-        u64 failures = 0;
-        for (const CorpusFileResult &file : report.files) {
-            table.row();
-            if (!file.error.empty()) {
-                ++failures;
-                table.cell(file.file).cell("ERROR");
-                table.cell(u64(0)).cell(u64(0));
-                for (std::size_t s = 0; s < report.specs.size();
-                     ++s) {
-                    table.cell("-");
-                }
-                table.cell("-").cell("-");
-                continue;
-            }
-            table.cell(file.file).cell(file.ingest);
-            table.cell(file.records);
-            table.cell(file.stats.dynamicConditional);
-            for (const SimResult &result : file.results) {
-                table.percentCell(result.mispredictPercent());
-            }
-            table.cell(file.classes.hardSites);
-            table.percentCell(100.0 * file.classes.hardShare());
-        }
-        table.print(std::cout);
-        std::cout << "\n";
-
-        // Per-spec aggregate over the successful files.
-        TextTable summary({"spec", "files", "conditionals",
-                           "mispredicts", "miss%"});
-        const JsonValue merged = report.toJson();
-        for (std::size_t s = 0; s < report.specs.size(); ++s) {
-            u64 conditionals = 0;
-            u64 mispredicts = 0;
-            u64 ok_files = 0;
-            for (const CorpusFileResult &file : report.files) {
-                if (!file.error.empty() ||
-                    s >= file.results.size()) {
-                    continue;
-                }
-                ++ok_files;
-                conditionals += file.results[s].conditionals;
-                mispredicts += file.results[s].mispredicts;
-            }
-            summary.row().cell(report.specs[s]).cell(ok_files);
-            summary.cell(conditionals).cell(mispredicts);
-            summary.percentCell(conditionals == 0
-                                    ? 0.0
-                                    : 100.0 *
-                                        static_cast<double>(
-                                            mispredicts) /
-                                        static_cast<double>(
-                                            conditionals));
-        }
-        summary.print(std::cout);
-
-        if (failures > 0) {
-            std::cout << "\n" << failures
-                      << " file(s) failed; see JSON for details\n";
-        }
-
-        if (!json_path.empty()) {
-            std::ofstream os(json_path);
-            if (!os) {
-                fatal("cannot open '" + json_path +
-                      "' for writing");
-            }
-            merged.write(os, 2);
-            os << "\n";
-        }
+        const u64 failures =
+            emitReport(report, directory, json_path);
 
         // Timing is stderr-only so stdout stays byte-diffable
         // across thread counts.
@@ -249,11 +265,20 @@ main(int argc, char **argv)
                " file(s) in " + std::to_string(elapsed) + " s");
 
         if (!trace_path.empty()) {
+            // The export runs after tracing stops, so no span can
+            // cover it; it is timed here instead.
             trace::setEnabled(false);
+            const auto exporting = std::chrono::steady_clock::now();
             if (!trace::writeChromeTrace(trace_path)) {
                 warn("--trace-out: write to '" + trace_path +
                      "' failed");
             }
+            const double exported =
+                std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - exporting)
+                    .count();
+            inform("bp_corpus: trace export in " +
+                   std::to_string(exported) + " s");
         }
         return failures == 0 ? 0 : 1;
     } catch (const FatalError &error) {
